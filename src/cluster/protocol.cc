@@ -565,6 +565,15 @@ bool DecodeName(const std::string& payload, std::string* name) {
   return r.Str(name) && !name->empty() && r.AtEnd();
 }
 
+net::Frame MakeReplyFrame(uint64_t request_id, net::FrameType type,
+                          std::string payload) {
+  net::Frame frame;
+  frame.type = type;
+  frame.request_id = request_id;
+  frame.payload = std::move(payload);
+  return frame;
+}
+
 net::Frame MakeErrorFrame(uint64_t request_id, const common::Status& status) {
   net::Frame frame;
   frame.type = net::FrameType::kError;
@@ -585,6 +594,21 @@ common::Status DecodeErrorFrame(const net::Frame& frame) {
   }
   return common::Status(static_cast<common::StatusCode>(code),
                         std::move(message));
+}
+
+net::Frame MakeBadPayloadFrame(const net::Frame& request) {
+  return MakeErrorFrame(
+      request.request_id,
+      common::Status::InvalidArgument(std::string("malformed ") +
+                                      net::FrameTypeName(request.type) +
+                                      " payload"));
+}
+
+net::Frame MakeUnexpectedFrame(const net::Frame& request) {
+  return MakeErrorFrame(
+      request.request_id,
+      common::Status::InvalidArgument(std::string("unexpected frame ") +
+                                      net::FrameTypeName(request.type)));
 }
 
 }  // namespace zeus::cluster

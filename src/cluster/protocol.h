@@ -249,12 +249,47 @@ bool DecodeRegisterReply(const std::string& payload, uint64_t* plans_warmed);
 std::string EncodeName(const std::string& name);
 bool DecodeName(const std::string& payload, std::string* name);
 
-// ---- Errors ----------------------------------------------------------------
+// ---- Response frames -------------------------------------------------------
+
+// A success response of `type` answering request `request_id`.
+net::Frame MakeReplyFrame(uint64_t request_id, net::FrameType type,
+                          std::string payload = {});
 
 // kError frames carry (StatusCode, message) so a server-side failure
 // arrives as the same Status the in-process call would have returned.
 net::Frame MakeErrorFrame(uint64_t request_id, const common::Status& status);
 common::Status DecodeErrorFrame(const net::Frame& frame);
+// kError(kInvalidArgument) for a request whose payload does not decode,
+// and for a request type the server does not serve.
+net::Frame MakeBadPayloadFrame(const net::Frame& request);
+net::Frame MakeUnexpectedFrame(const net::Frame& request);
+
+// Serves one request: its payload decoded into a Req (MakeBadPayloadFrame
+// when that fails) and handed to `handle`. The handler's Result comes back
+// as a `reply_type` frame carrying `encode(value)`; the three-argument form
+// takes a handler returning a bare Status and answers kOk. Errors become
+// their kError frame.
+template <typename Req, typename Handle, typename Encode>
+net::Frame AnswerFrame(const net::Frame& request,
+                       bool (*decode)(const std::string&, Req*),
+                       Handle handle, net::FrameType reply_type,
+                       Encode encode) {
+  Req decoded{};
+  if (!decode(request.payload, &decoded)) return MakeBadPayloadFrame(request);
+  const auto reply = handle(decoded);
+  if (!reply.ok()) return MakeErrorFrame(request.request_id, reply.status());
+  return MakeReplyFrame(request.request_id, reply_type, encode(reply.value()));
+}
+template <typename Req, typename Handle>
+net::Frame AnswerFrame(const net::Frame& request,
+                       bool (*decode)(const std::string&, Req*),
+                       Handle handle) {
+  Req decoded{};
+  if (!decode(request.payload, &decoded)) return MakeBadPayloadFrame(request);
+  const common::Status status = handle(decoded);
+  if (!status.ok()) return MakeErrorFrame(request.request_id, status);
+  return MakeReplyFrame(request.request_id, net::FrameType::kOk);
+}
 
 }  // namespace zeus::cluster
 

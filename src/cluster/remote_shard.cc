@@ -79,10 +79,10 @@ void RemoteShard::Release(net::FrameConn conn) {
   if (pool_.size() < 8) pool_.push_back(std::move(conn));
 }
 
-common::Result<net::Frame> RemoteShard::Call(net::FrameType type,
-                                             std::string payload,
-                                             net::FrameType expect,
-                                             int deadline_ms) {
+common::Result<net::Frame> RemoteShard::Exchange(net::FrameType type,
+                                                 std::string payload,
+                                                 net::FrameType expect,
+                                                 int deadline_ms) {
   common::Status last = common::Status::Unavailable("no attempt made");
   const int attempts = std::max(1, opts_.max_attempts);
   for (int attempt = 1; attempt <= attempts; ++attempt) {
@@ -161,166 +161,126 @@ common::Result<net::Frame> RemoteShard::Call(net::FrameType type,
   return last;
 }
 
+template <typename T>
+common::Result<T> RemoteShard::Call(net::FrameType type, std::string payload,
+                                    net::FrameType expect, int deadline_ms,
+                                    bool (*decode)(const std::string&, T*)) {
+  auto resp = Exchange(type, std::move(payload), expect, deadline_ms);
+  if (!resp.ok()) return resp.status();
+  T reply{};
+  if (!decode(resp.value().payload, &reply)) {
+    return common::Status::Unavailable(std::string("malformed ") +
+                                       net::FrameTypeName(expect) +
+                                       " payload");
+  }
+  return reply;
+}
+
 common::Status RemoteShard::Ping(int deadline_ms) {
-  auto resp = Call(net::FrameType::kPing, {}, net::FrameType::kPong,
-                   Deadline(deadline_ms));
-  return resp.ok() ? common::Status::Ok() : resp.status();
+  return Exchange(net::FrameType::kPing, {}, net::FrameType::kPong,
+                  Deadline(deadline_ms))
+      .status();
 }
 
 common::Result<engine::QueryResult> RemoteShard::Execute(
     const ExecRequest& req, int deadline_ms) {
-  auto resp = Call(net::FrameType::kExecute, EncodeExecRequest(req),
-                   net::FrameType::kResult, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  engine::QueryResult result;
-  if (!DecodeQueryResult(resp.value().payload, &result)) {
-    return common::Status::Unavailable("malformed result payload");
-  }
-  return result;
+  return Call(net::FrameType::kExecute, EncodeExecRequest(req),
+              net::FrameType::kResult, Deadline(deadline_ms),
+              DecodeQueryResult);
 }
 
 common::Result<RemoteTicket> RemoteShard::Submit(const ExecRequest& req,
                                                  int deadline_ms) {
-  auto resp = Call(net::FrameType::kSubmit, EncodeExecRequest(req),
-                   net::FrameType::kSubmitReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  uint64_t id = 0;
-  if (!DecodeTicketId(resp.value().payload, &id)) {
-    return common::Status::Unavailable("malformed submit reply");
-  }
-  return RemoteTicket(this, id);
+  auto id = Call(net::FrameType::kSubmit, EncodeExecRequest(req),
+                 net::FrameType::kSubmitReply, Deadline(deadline_ms),
+                 DecodeTicketId);
+  if (!id.ok()) return id.status();
+  return RemoteTicket(this, id.value());
 }
 
 common::Status RemoteShard::Cancel(uint64_t ticket_id, int deadline_ms) {
-  auto resp = Call(net::FrameType::kCancel, EncodeTicketId(ticket_id),
-                   net::FrameType::kOk, Deadline(deadline_ms));
-  return resp.ok() ? common::Status::Ok() : resp.status();
+  return Exchange(net::FrameType::kCancel, EncodeTicketId(ticket_id),
+                  net::FrameType::kOk, Deadline(deadline_ms))
+      .status();
 }
 
 common::Result<TicketStateReply> RemoteShard::TicketState(uint64_t ticket_id,
                                                           int deadline_ms) {
-  auto resp = Call(net::FrameType::kTicketState, EncodeTicketId(ticket_id),
-                   net::FrameType::kTicketStateReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  TicketStateReply reply;
-  if (!DecodeTicketState(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed ticket state");
-  }
-  return reply;
+  return Call(net::FrameType::kTicketState, EncodeTicketId(ticket_id),
+              net::FrameType::kTicketStateReply, Deadline(deadline_ms),
+              DecodeTicketState);
 }
 
 common::Result<engine::QueryResult> RemoteShard::TicketWait(
     uint64_t ticket_id, int deadline_ms) {
-  auto resp = Call(net::FrameType::kTicketWait, EncodeTicketId(ticket_id),
-                   net::FrameType::kResult, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  engine::QueryResult result;
-  if (!DecodeQueryResult(resp.value().payload, &result)) {
-    return common::Status::Unavailable("malformed result payload");
-  }
-  return result;
+  return Call(net::FrameType::kTicketWait, EncodeTicketId(ticket_id),
+              net::FrameType::kResult, Deadline(deadline_ms),
+              DecodeQueryResult);
 }
 
 common::Result<StatsReply> RemoteShard::Stats(int deadline_ms) {
-  auto resp = Call(net::FrameType::kStats, {}, net::FrameType::kStatsReply,
-                   Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  StatsReply reply;
-  if (!DecodeStatsReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed stats reply");
-  }
-  return reply;
+  return Call(net::FrameType::kStats, {}, net::FrameType::kStatsReply,
+              Deadline(deadline_ms), DecodeStatsReply);
 }
 
 common::Result<uint64_t> RemoteShard::RegisterDataset(const DatasetSpec& spec,
                                                       int deadline_ms) {
-  auto resp = Call(net::FrameType::kRegisterDataset, EncodeDatasetSpec(spec),
-                   net::FrameType::kRegisterReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  uint64_t warmed = 0;
-  if (!DecodeRegisterReply(resp.value().payload, &warmed)) {
-    return common::Status::Unavailable("malformed register reply");
-  }
-  return warmed;
+  return Call(net::FrameType::kRegisterDataset, EncodeDatasetSpec(spec),
+              net::FrameType::kRegisterReply, Deadline(deadline_ms),
+              DecodeRegisterReply);
 }
 
 common::Result<SyncReply> RemoteShard::SyncPlans(const std::string& name,
                                                  uint64_t epoch,
                                                  int deadline_ms) {
-  SyncPlansRequest req{name, epoch};
-  auto resp = Call(net::FrameType::kSyncPlans, EncodeSyncPlans(req),
-                   net::FrameType::kSyncReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  SyncReply reply;
-  if (!DecodeSyncReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed sync reply");
-  }
-  return reply;
+  return Call(net::FrameType::kSyncPlans, EncodeSyncPlans({name, epoch}),
+              net::FrameType::kSyncReply, Deadline(deadline_ms),
+              DecodeSyncReply);
 }
 
 common::Result<EpochReply> RemoteShard::EpochOf(const std::string& name,
                                                 int deadline_ms) {
-  auto resp = Call(net::FrameType::kEpochQuery, EncodeName(name),
-                   net::FrameType::kEpochReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  EpochReply reply;
-  if (!DecodeEpochReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed epoch reply");
-  }
-  return reply;
+  return Call(net::FrameType::kEpochQuery, EncodeName(name),
+              net::FrameType::kEpochReply, Deadline(deadline_ms),
+              DecodeEpochReply);
 }
 
 common::Status RemoteShard::RemoveDataset(const std::string& name,
                                           int deadline_ms) {
-  auto resp = Call(net::FrameType::kRemoveDataset, EncodeName(name),
-                   net::FrameType::kOk, Deadline(deadline_ms));
-  return resp.ok() ? common::Status::Ok() : resp.status();
+  return Exchange(net::FrameType::kRemoveDataset, EncodeName(name),
+                  net::FrameType::kOk, Deadline(deadline_ms))
+      .status();
 }
 
 common::Result<AppendReply> RemoteShard::AppendFrames(
     const AppendFramesRequest& req, int deadline_ms) {
-  auto resp = Call(net::FrameType::kAppendFrames, EncodeAppendFrames(req),
-                   net::FrameType::kAppendReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  AppendReply reply;
-  if (!DecodeAppendReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed append reply");
-  }
-  return reply;
+  return Call(net::FrameType::kAppendFrames, EncodeAppendFrames(req),
+              net::FrameType::kAppendReply, Deadline(deadline_ms),
+              DecodeAppendReply);
 }
 
 common::Result<SubscribeReply> RemoteShard::Subscribe(
     const SubscribeRequest& req, int deadline_ms) {
-  auto resp = Call(net::FrameType::kSubscribe, EncodeSubscribeRequest(req),
-                   net::FrameType::kSubscribeReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  SubscribeReply reply;
-  if (!DecodeSubscribeReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed subscribe reply");
-  }
-  return reply;
+  return Call(net::FrameType::kSubscribe, EncodeSubscribeRequest(req),
+              net::FrameType::kSubscribeReply, Deadline(deadline_ms),
+              DecodeSubscribeReply);
 }
 
 common::Result<StreamResultMsg> RemoteShard::StreamPoll(
     const StreamPollRequest& req, int deadline_ms) {
   // The poll's own long-poll window must fit inside the transport
   // deadline, or a quiet stream would be misread as a dead shard.
-  const int deadline = Deadline(deadline_ms);
-  auto resp = Call(net::FrameType::kStreamPoll, EncodeStreamPoll(req),
-                   net::FrameType::kStreamResult,
-                   std::max(deadline, static_cast<int>(req.timeout_ms) + 2'000));
-  if (!resp.ok()) return resp.status();
-  StreamResultMsg msg;
-  if (!DecodeStreamResult(resp.value().payload, &msg)) {
-    return common::Status::Unavailable("malformed stream result");
-  }
-  return msg;
+  return Call(net::FrameType::kStreamPoll, EncodeStreamPoll(req),
+              net::FrameType::kStreamResult,
+              std::max(Deadline(deadline_ms),
+                       static_cast<int>(req.timeout_ms) + 2'000),
+              DecodeStreamResult);
 }
 
 common::Status RemoteShard::Unsubscribe(uint64_t sub_id, int deadline_ms) {
-  auto resp = Call(net::FrameType::kUnsubscribe, EncodeTicketId(sub_id),
-                   net::FrameType::kOk, Deadline(deadline_ms));
-  return resp.ok() ? common::Status::Ok() : resp.status();
+  return Exchange(net::FrameType::kUnsubscribe, EncodeTicketId(sub_id),
+                  net::FrameType::kOk, Deadline(deadline_ms))
+      .status();
 }
 
 }  // namespace zeus::cluster

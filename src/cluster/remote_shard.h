@@ -125,8 +125,15 @@ class RemoteShard {
   // One request/response exchange with retry per the contract above.
   // `expect` is the success response type; kError frames become their
   // carried Status (never retried here — the server DID answer).
-  common::Result<net::Frame> Call(net::FrameType type, std::string payload,
-                                  net::FrameType expect, int deadline_ms);
+  common::Result<net::Frame> Exchange(net::FrameType type,
+                                      std::string payload,
+                                      net::FrameType expect, int deadline_ms);
+  // Exchange, then the reply payload through `decode`; a payload that does
+  // not decode is kUnavailable("malformed <type> payload").
+  template <typename T>
+  common::Result<T> Call(net::FrameType type, std::string payload,
+                         net::FrameType expect, int deadline_ms,
+                         bool (*decode)(const std::string&, T*));
 
   // Pool: pop an idle connection or dial a fresh one.
   common::Result<net::FrameConn> Acquire();
@@ -140,7 +147,6 @@ class RemoteShard {
 
   std::mutex pool_mu_;
   std::vector<net::FrameConn> pool_;
-  bool closed_ = false;
 
   std::mutex seq_mu_;
   uint64_t next_request_id_ = 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/stringutil.h"
@@ -10,23 +9,6 @@
 namespace zeus::cluster {
 
 namespace {
-
-net::Frame Reply(uint64_t request_id, net::FrameType type,
-                 std::string payload) {
-  net::Frame f;
-  f.type = type;
-  f.request_id = request_id;
-  f.payload = std::move(payload);
-  return f;
-}
-
-net::Frame BadPayload(const net::Frame& req) {
-  return MakeErrorFrame(
-      req.request_id,
-      common::Status::InvalidArgument(
-          std::string("malformed ") + net::FrameTypeName(req.type) +
-          " payload"));
-}
 
 // Merge per-dataset rows from many shard snapshots by name (counters add,
 // histograms merge, queue depth sums — a dataset only ever lives on one
@@ -55,7 +37,14 @@ void MergeDatasetRows(std::vector<engine::DatasetStats>* into,
 
 }  // namespace
 
-Router::Router(Options options) : opts_(std::move(options)) {}
+Router::Router(Options options)
+    : opts_(std::move(options)),
+      server_({opts_.host, opts_.port, opts_.write_deadline_ms, opts_.name},
+              [this](const net::Frame& req) { return Dispatch(req); },
+              [this](const std::string& path) -> std::optional<std::string> {
+                if (path != "/metrics") return std::nullopt;
+                return PrometheusText(GroupStatsNow(), Health());
+              }) {}
 
 Router::~Router() { Stop(); }
 
@@ -94,36 +83,24 @@ common::Status Router::Start() {
       1, std::min(opts_.replication, static_cast<int>(shards_.size())));
   RebuildRingLocked();  // no threads yet; the "Locked" contract is vacuous
 
-  ZEUS_RETURN_IF_ERROR(listener_.Listen(opts_.host, opts_.port));
-  port_ = listener_.port();
-  stopping_.store(false);
+  ZEUS_RETURN_IF_ERROR(server_.Start());
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (opts_.health_interval_ms > 0) {
     health_thread_ = std::thread([this] { HealthLoop(); });
   }
-  ZEUS_LOG(Info) << opts_.name << " listening on " << opts_.host << ":"
-                 << port_ << " with " << shards_.size() << " shard(s)";
+  ZEUS_LOG(Info) << opts_.name << " routes over " << shards_.size()
+                 << " shard(s)";
   return common::Status::Ok();
 }
 
 void Router::Stop() {
   if (!running_.exchange(false)) return;
-  stopping_.store(true);
   {
     std::lock_guard<std::mutex> lock(health_mu_);
     health_cv_.notify_all();
   }
   if (health_thread_.joinable()) health_thread_.join();
-  listener_.Close();
-  CloseAllConns();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) t.join();
+  server_.Stop();
 }
 
 // ---- Routing ---------------------------------------------------------------
@@ -164,11 +141,129 @@ std::vector<int> Router::CandidatesLocked(const std::string& dataset) const {
   return out;
 }
 
+std::vector<int> Router::LiveHoldersLocked(const std::string& dataset) const {
+  std::vector<int> out;
+  auto it = datasets_.find(dataset);
+  if (it == datasets_.end()) return out;
+  for (const auto& [id, epoch] : it->second.replica_epochs) {
+    (void)epoch;
+    if (shards_[id].alive) out.push_back(id);
+  }
+  return out;
+}
+
+std::vector<Router::Target> Router::TargetsLocked(
+    const std::vector<int>& ids) const {
+  std::vector<Target> targets;
+  for (int id : ids) targets.push_back({id, shards_[id].client.get()});
+  return targets;
+}
+
+RemoteShard* Router::LiveClient(int id) const {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  if (id < 0 || id >= static_cast<int>(shards_.size())) return nullptr;
+  return shards_[id].alive ? shards_[id].client.get() : nullptr;
+}
+
+std::vector<Router::Target> Router::LiveProbes() const {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  std::vector<Target> probes;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i].alive) {
+      probes.push_back({static_cast<int>(i), shards_[i].probe.get()});
+    }
+  }
+  return probes;
+}
+
+template <typename T>
+common::Result<std::pair<int, T>> Router::ReadFromReplicas(
+    const std::string& dataset,
+    const std::function<common::Result<T>(RemoteShard&)>& call) {
+  std::vector<int> candidates;
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    candidates = CandidatesLocked(dataset);
+  }
+  if (candidates.empty()) {
+    return common::Status::Unavailable("no live replica of '" + dataset +
+                                       "'; re-homing, retry");
+  }
+
+  // Primary-first with in-call failover: a retryable failure (dead shard,
+  // lost response) moves to the next replica inside this call — no
+  // health-check round-trip, no client-visible error window. Re-running a
+  // read on another replica is safe: a replica's answer is a pure function
+  // of its spec, applied frames and plans, and the epoch annotation marks
+  // a replica that is behind.
+  common::Status last = common::Status::Unavailable("no candidate tried");
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    RemoteShard* client = LiveClient(candidates[i]);
+    if (client == nullptr) continue;  // died since the snapshot
+    auto result = call(*client);
+    if (result.ok()) {
+      if (i > 0) {
+        std::lock_guard<std::mutex> lock(state_mu_);
+        ++read_failovers_;
+      }
+      return std::make_pair(candidates[i], std::move(result).value());
+    }
+    if (!common::IsRetryable(result.status().code())) return result.status();
+    last = result.status();
+  }
+  return last;
+}
+
+template <typename T>
+common::Result<T> Router::WriteToReplicas(
+    const std::vector<Target>& targets, const std::string& what,
+    std::vector<int>* applied,
+    const std::function<common::Result<T>(RemoteShard&)>& call) {
+  // Primary first. The primary must land (otherwise the write failed); a
+  // secondary that misses is left behind and the repair pass catches it up.
+  T primary{};
+  for (size_t i = 0; i < targets.size(); ++i) {
+    auto result = call(*targets[i].client);
+    if (result.ok()) {
+      if (i == 0) primary = std::move(result).value();
+      applied->push_back(targets[i].id);
+    } else if (i == 0) {
+      return result.status();
+    } else {
+      ZEUS_LOG(Warning) << opts_.name << " " << what << " on replica shard "
+                        << targets[i].id << " failed (repair will retry): "
+                        << result.status().ToString();
+    }
+  }
+  return primary;
+}
+
+std::vector<std::pair<int, bool>> Router::BehindLocked(
+    const std::string& name, const DatasetState& state) const {
+  std::vector<std::pair<int, bool>> behind;
+  if (alive_count_ == 0 || ring_ == nullptr) return behind;
+  for (int id : ring_->ShardsFor(name, opts_.replication)) {
+    if (!shards_[id].alive) continue;
+    auto it = state.replica_epochs.find(id);
+    if (it == state.replica_epochs.end()) {
+      behind.emplace_back(id, true);
+    } else if (it->second < state.committed_epoch) {
+      behind.emplace_back(id, false);
+    }
+  }
+  return behind;
+}
+
+bool Router::ForgetIfLost(const std::string& name, int id,
+                          const common::Status& st) {
+  if (st.code() != common::StatusCode::kNotFound) return false;
+  std::lock_guard<std::mutex> lock(state_mu_);
+  auto it = datasets_.find(name);
+  if (it != datasets_.end()) it->second.replica_epochs.erase(id);
+  return true;
+}
+
 common::Result<uint64_t> Router::RegisterDataset(const DatasetSpec& spec) {
-  struct Target {
-    int id;
-    RemoteShard* client;
-  };
   std::vector<Target> targets;
   uint64_t epoch = 0;
   {
@@ -178,32 +273,17 @@ common::Result<uint64_t> Router::RegisterDataset(const DatasetSpec& spec) {
     }
     auto it = datasets_.find(spec.name);
     epoch = (it != datasets_.end() ? it->second.committed_epoch : 0) + 1;
-    for (int id : ring_->ShardsFor(spec.name, opts_.replication)) {
-      targets.push_back({id, shards_[id].client.get()});
-    }
+    targets = TargetsLocked(ring_->ShardsFor(spec.name, opts_.replication));
   }
 
-  // Fan the write to the whole replica set, primary first. The primary
-  // must land (otherwise the registration failed); a secondary that
-  // doesn't respond is left behind and the repair pass catches it up.
+  // Fan the write to the whole replica set.
   DatasetSpec stamped = spec;
   stamped.epoch = epoch;
-  uint64_t warmed = 0;
   std::vector<int> applied;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    auto reg = targets[i].client->RegisterDataset(stamped);
-    if (reg.ok()) {
-      if (i == 0) warmed = reg.value();
-      applied.push_back(targets[i].id);
-    } else if (i == 0) {
-      return reg.status();
-    } else {
-      ZEUS_LOG(Warning) << opts_.name << " replica registration of '"
-                        << spec.name << "' on shard " << targets[i].id
-                        << " failed (repair will retry): "
-                        << reg.status().ToString();
-    }
-  }
+  auto warmed = WriteToReplicas<uint64_t>(
+      targets, "registration of '" + spec.name + "'", &applied,
+      [&](RemoteShard& shard) { return shard.RegisterDataset(stamped); });
+  if (!warmed.ok()) return warmed.status();
 
   std::lock_guard<std::mutex> lock(state_mu_);
   DatasetState& state = datasets_[spec.name];
@@ -232,73 +312,27 @@ common::Result<engine::QueryResult> Router::Execute(const std::string& dataset,
 }
 
 common::Result<engine::QueryResult> Router::Execute(const ExecRequest& req) {
-  const std::string& dataset = req.dataset;
-  std::vector<int> candidates;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    candidates = CandidatesLocked(dataset);
-  }
-  if (candidates.empty()) {
-    return common::Status::Unavailable("no live replica of '" + dataset +
-                                       "'; re-homing, retry");
-  }
-
-  // Primary-first with in-call failover: a retryable failure (dead shard,
-  // lost response) moves to the next replica inside this call — no
-  // health-check round-trip, no client-visible error window. Re-running
-  // the query on another replica is safe: datasets are immutable and
-  // deterministic from their spec, so a read is a pure function and
-  // at-least-once execution returns the same bytes.
-  common::Status last = common::Status::Unavailable("no candidate tried");
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    RemoteShard* client = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      if (!shards_[candidates[i]].alive) continue;  // died since snapshot
-      client = shards_[candidates[i]].client.get();
-    }
-    auto result = client->Execute(req);
-    if (result.ok()) {
-      if (i > 0) {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        ++read_failovers_;
-      }
-      engine::QueryResult r =
-          AnnotateResult(dataset, candidates[i], std::move(result).value());
-      if (r.plan_seconds > 0) PropagatePlans(dataset);
-      return r;
-    }
-    if (!common::IsRetryable(result.status().code())) return result.status();
-    last = result.status();
-  }
-  return last;
+  auto served = ReadFromReplicas<engine::QueryResult>(
+      req.dataset, [&](RemoteShard& shard) { return shard.Execute(req); });
+  if (!served.ok()) return served.status();
+  engine::QueryResult r = AnnotateResult(
+      req.dataset, served.value().first, std::move(served.value().second));
+  if (r.plan_seconds > 0) PropagatePlans(req.dataset);
+  return r;
 }
 
 common::Status Router::RemoveDataset(const std::string& name) {
-  struct Target {
-    int id;
-    RemoteShard* client;
-  };
   std::vector<Target> targets;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     if (alive_count_ == 0 || ring_ == nullptr) {
       return common::Status::Unavailable("no alive shards");
     }
-    auto it = datasets_.find(name);
-    if (it == datasets_.end()) {
-      // Unknown to the catalog: forward to the ring owner, whose remove of
-      // a dataset it never held is a no-op.
-      const int home = ring_->ShardFor(name);
-      targets.push_back({home, shards_[home].client.get()});
-    } else {
-      for (const auto& [id, epoch] : it->second.replica_epochs) {
-        (void)epoch;
-        if (shards_[id].alive) {
-          targets.push_back({id, shards_[id].client.get()});
-        }
-      }
-    }
+    // Unknown to the catalog: forward to the ring owner, whose remove of a
+    // dataset it never held is a no-op.
+    targets = TargetsLocked(datasets_.count(name) > 0
+                                ? LiveHoldersLocked(name)
+                                : std::vector<int>{ring_->ShardFor(name)});
   }
   // Remove from every live replica; kRemoveDataset is idempotent, so a
   // partial failure is safe to retry wholesale.
@@ -325,10 +359,6 @@ common::Result<AppendReply> Router::AppendFrames(const std::string& name,
   // against the state the previous append committed.
   std::lock_guard<std::mutex> append_lock(append_mu_);
 
-  struct Target {
-    int id;
-    RemoteShard* client;
-  };
   std::vector<Target> targets;
   AppendFramesRequest wire;
   wire.name = name;
@@ -344,35 +374,21 @@ common::Result<AppendReply> Router::AppendFrames(const std::string& name,
     }
     wire.target_frames = it->second.committed_frames + frames;
     wire.epoch = it->second.committed_epoch + 1;
-    for (int id : CandidatesLocked(name)) {
-      targets.push_back({id, shards_[id].client.get()});
-    }
+    targets = TargetsLocked(CandidatesLocked(name));
   }
   if (targets.empty()) {
     return common::Status::Unavailable("no live replica of '" + name +
                                        "'; re-homing, retry");
   }
 
-  // Fan the absolute form to every live replica, primary first. The
-  // primary must land (otherwise the append failed); a secondary that
-  // misses stays at its old length and the repair pass replays the SAME
-  // absolute (target, epoch) — convergent by construction.
-  AppendReply primary;
+  // Fan the absolute form to every live replica. A secondary that misses
+  // stays at its old length and the repair pass replays the SAME absolute
+  // (target, epoch) — convergent by construction.
   std::vector<int> applied;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    auto reply = targets[i].client->AppendFrames(wire);
-    if (reply.ok()) {
-      if (i == 0) primary = reply.value();
-      applied.push_back(targets[i].id);
-    } else if (i == 0) {
-      return reply.status();
-    } else {
-      ZEUS_LOG(Warning) << opts_.name << " append of '" << name
-                        << "' to replica shard " << targets[i].id
-                        << " failed (repair will replay): "
-                        << reply.status().ToString();
-    }
-  }
+  auto primary = WriteToReplicas<AppendReply>(
+      targets, "append to '" + name + "'", &applied,
+      [&](RemoteShard& shard) { return shard.AppendFrames(wire); });
+  if (!primary.ok()) return primary.status();
 
   std::lock_guard<std::mutex> lock(state_mu_);
   auto it = datasets_.find(name);
@@ -387,39 +403,6 @@ common::Result<AppendReply> Router::AppendFrames(const std::string& name,
     }
   }
   return primary;
-}
-
-common::Result<std::pair<int, SubscribeReply>> Router::AttachSubscription(
-    const SubscribeRequest& req) {
-  std::vector<int> candidates;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    candidates = CandidatesLocked(req.dataset);
-  }
-  if (candidates.empty()) {
-    return common::Status::Unavailable("no live replica of '" + req.dataset +
-                                       "'; re-homing, retry");
-  }
-  common::Status last = common::Status::Unavailable("no candidate tried");
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    RemoteShard* client = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      if (!shards_[candidates[i]].alive) continue;
-      client = shards_[candidates[i]].client.get();
-    }
-    auto reply = client->Subscribe(req);
-    if (reply.ok()) {
-      if (i > 0) {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        ++read_failovers_;
-      }
-      return std::make_pair(candidates[i], reply.value());
-    }
-    if (!common::IsRetryable(reply.status().code())) return reply.status();
-    last = reply.status();
-  }
-  return last;
 }
 
 common::Result<SubscribeReply> Router::Subscribe(SubscribeRequest req) {
@@ -441,7 +424,9 @@ common::Result<SubscribeReply> Router::Subscribe(SubscribeRequest req) {
       }
     }
   }
-  auto attach = AttachSubscription(req);
+  // Attach on the first live replica, primary first.
+  auto attach = ReadFromReplicas<SubscribeReply>(
+      req.dataset, [&](RemoteShard& shard) { return shard.Subscribe(req); });
   if (!attach.ok()) return attach.status();
   std::lock_guard<std::mutex> lock(subs_mu_);
   RoutedSub& sub = subs_[req.sub_id];
@@ -488,16 +473,14 @@ common::Result<StreamResultMsg> Router::StreamPoll(uint64_t sub_id,
       remote_after = it->second.remote_last_seq;
     }
 
-    RemoteShard* client = nullptr;
-    if (shard >= 0) {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      if (shards_[shard].alive) client = shards_[shard].client.get();
-    }
+    RemoteShard* client = LiveClient(shard);
     if (client == nullptr) {
       // Host gone: re-attach to the current primary. Same id = same
       // kSubscribe frame; the new host replays its current window, which
       // the epoch dedupe below swallows if it was already delivered.
-      auto attach = AttachSubscription(req);
+      auto attach = ReadFromReplicas<SubscribeReply>(
+          req.dataset,
+          [&](RemoteShard& shard) { return shard.Subscribe(req); });
       if (!attach.ok()) return attach.status();
       std::lock_guard<std::mutex> lock(subs_mu_);
       auto it = subs_.find(sub_id);
@@ -528,17 +511,10 @@ common::Result<StreamResultMsg> Router::StreamPoll(uint64_t sub_id,
         continue;
       }
       if (code == common::StatusCode::kUnavailable) {
-        bool still_alive = false;
-        {
-          std::lock_guard<std::mutex> lock(state_mu_);
-          still_alive = shard >= 0 &&
-                        shard < static_cast<int>(shards_.size()) &&
-                        shards_[shard].alive;
-        }
         // Still alive = a plain long-poll timeout (nothing new in the
         // window) — surface it, the client re-polls. Dead = the host
         // failed mid-poll; the next pass re-attaches.
-        if (still_alive) return msg.status();
+        if (ShardAlive(shard)) return msg.status();
         continue;
       }
       return msg.status();
@@ -590,16 +566,9 @@ common::Status Router::Unsubscribe(uint64_t sub_id) {
     shard = it->second.shard;
     subs_.erase(it);
   }
-  RemoteShard* client = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    if (shard >= 0 && shard < static_cast<int>(shards_.size()) &&
-        shards_[shard].alive) {
-      client = shards_[shard].client.get();
-    }
-  }
   // Routed state is gone either way; a host we cannot reach reaps the
   // orphan when it stops (and an unsubscribe replay there is kOk).
+  RemoteShard* client = LiveClient(shard);
   if (client != nullptr) return client->Unsubscribe(sub_id);
   return common::Status::Ok();
 }
@@ -628,10 +597,6 @@ engine::QueryResult Router::AnnotateResult(const std::string& dataset,
 }
 
 void Router::PropagatePlans(const std::string& dataset) {
-  struct Target {
-    int id;
-    RemoteShard* client;
-  };
   std::vector<Target> targets;
   uint64_t epoch = 0;
   {
@@ -639,12 +604,7 @@ void Router::PropagatePlans(const std::string& dataset) {
     auto it = datasets_.find(dataset);
     if (it == datasets_.end()) return;
     epoch = it->second.committed_epoch + 1;
-    for (const auto& [id, applied] : it->second.replica_epochs) {
-      (void)applied;
-      if (shards_[id].alive) {
-        targets.push_back({id, shards_[id].client.get()});
-      }
-    }
+    targets = TargetsLocked(LiveHoldersLocked(dataset));
   }
   if (targets.empty()) return;
 
@@ -685,20 +645,11 @@ void Router::RepairReplicas() {
   std::vector<Fix> fixes;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (alive_count_ == 0 || ring_ == nullptr) return;
     for (const auto& [name, state] : datasets_) {
-      for (int id : ring_->ShardsFor(name, opts_.replication)) {
-        if (!shards_[id].alive) continue;
-        auto rit = state.replica_epochs.find(id);
-        if (rit == state.replica_epochs.end()) {
-          fixes.push_back({name, state.spec, state.committed_epoch,
-                           state.committed_frames, id,
-                           shards_[id].client.get(), true});
-        } else if (rit->second < state.committed_epoch) {
-          fixes.push_back({name, state.spec, state.committed_epoch,
-                           state.committed_frames, id,
-                           shards_[id].client.get(), false});
-        }
+      for (const auto& [id, missing] : BehindLocked(name, state)) {
+        fixes.push_back({name, state.spec, state.committed_epoch,
+                         state.committed_frames, id,
+                         shards_[id].client.get(), missing});
       }
     }
   }
@@ -764,15 +715,7 @@ void Router::RepairReplicas() {
         grow.target_frames = fix.frames;
         grow.epoch = 0;
         auto grown = fix.client->AppendFrames(grow);
-        if (!grown.ok() &&
-            grown.status().code() == common::StatusCode::kNotFound) {
-          // The shard lost the dataset (e.g. restarted under the same
-          // endpoint): forget its epoch so the next pass re-registers it.
-          std::lock_guard<std::mutex> lock(state_mu_);
-          auto it = datasets_.find(fix.name);
-          if (it != datasets_.end()) it->second.replica_epochs.erase(fix.id);
-          continue;
-        }
+        if (ForgetIfLost(fix.name, fix.id, grown.status())) continue;
         if (!grown.ok()) {
           ZEUS_LOG(Warning) << opts_.name << " repair: frame replay of '"
                             << fix.name << "' to shard " << fix.id
@@ -781,15 +724,7 @@ void Router::RepairReplicas() {
         }
       }
       auto sync = fix.client->SyncPlans(fix.name, fix.committed);
-      if (!sync.ok() &&
-          sync.status().code() == common::StatusCode::kNotFound) {
-        // The shard lost the dataset (e.g. restarted under the same
-        // endpoint): forget its epoch so the next pass re-registers it.
-        std::lock_guard<std::mutex> lock(state_mu_);
-        auto it = datasets_.find(fix.name);
-        if (it != datasets_.end()) it->second.replica_epochs.erase(fix.id);
-        continue;
-      }
+      if (ForgetIfLost(fix.name, fix.id, sync.status())) continue;
       if (!sync.ok()) {
         ZEUS_LOG(Warning) << opts_.name << " repair: plan sync of '"
                           << fix.name << "' to shard " << fix.id
@@ -809,25 +744,11 @@ void Router::RepairReplicas() {
 // ---- Stats -----------------------------------------------------------------
 
 engine::GroupStats Router::GroupStatsNow() {
-  struct Target {
-    int id;
-    RemoteShard* probe;
-  };
-  std::vector<Target> targets;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i].alive) {
-        targets.push_back({static_cast<int>(i), shards_[i].probe.get()});
-      }
-    }
-  }
-
   // Collect outside the lock (each probe is one bounded attempt; a slow
   // shard delays the scrape, never routing).
   std::vector<std::pair<int, StatsReply>> fresh;
-  for (const Target& t : targets) {
-    auto reply = t.probe->Stats();
+  for (const Target& t : LiveProbes()) {
+    auto reply = t.client->Stats();
     if (reply.ok()) fresh.emplace_back(t.id, std::move(reply).value());
   }
 
@@ -868,20 +789,9 @@ ClusterHealth Router::Health() const {
     placement.primary =
         (alive_count_ > 0 && ring_ != nullptr) ? ring_->ShardFor(name) : -1;
     placement.committed_epoch = state.committed_epoch;
-    for (const auto& [id, applied] : state.replica_epochs) {
-      (void)applied;
-      if (shards_[id].alive) ++placement.replicas;
-    }
-    if (alive_count_ > 0 && ring_ != nullptr) {
-      for (int id : ring_->ShardsFor(name, opts_.replication)) {
-        if (!shards_[id].alive) continue;
-        auto rit = state.replica_epochs.find(id);
-        if (rit == state.replica_epochs.end() ||
-            rit->second < state.committed_epoch) {
-          ++health.replicas_behind;
-        }
-      }
-    }
+    placement.replicas = static_cast<int>(LiveHoldersLocked(name).size());
+    health.replicas_behind +=
+        static_cast<int64_t>(BehindLocked(name, state).size());
     health.placements.push_back(std::move(placement));
   }
   return health;
@@ -919,23 +829,9 @@ StatsReply Router::Stats() {
 
 int Router::CheckNow() {
   std::lock_guard<std::mutex> pass(check_mu_);
-  struct Target {
-    int id;
-    RemoteShard* probe;
-  };
-  std::vector<Target> targets;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i].alive) {
-        targets.push_back({static_cast<int>(i), shards_[i].probe.get()});
-      }
-    }
-  }
-
   int newly_dead = 0;
-  for (const Target& t : targets) {
-    auto reply = t.probe->Stats();
+  for (const Target& t : LiveProbes()) {
+    auto reply = t.client->Stats();
     std::unique_lock<std::mutex> lock(state_mu_);
     ShardState& s = shards_[t.id];
     if (!s.alive) continue;
@@ -1003,10 +899,10 @@ void Router::FailOverLocked(std::unique_lock<std::mutex>& lock, int id) {
 
 void Router::HealthLoop() {
   std::unique_lock<std::mutex> lk(health_mu_);
-  while (!stopping_.load()) {
+  while (running_.load()) {
     health_cv_.wait_for(lk, std::chrono::milliseconds(opts_.health_interval_ms),
-                        [&] { return stopping_.load(); });
-    if (stopping_.load()) return;
+                        [&] { return !running_.load(); });
+    if (!running_.load()) return;
     lk.unlock();
     CheckNow();
     lk.lock();
@@ -1032,207 +928,98 @@ int Router::HomeOf(const std::string& dataset) const {
 
 std::vector<int> Router::ReplicasOf(const std::string& dataset) const {
   std::lock_guard<std::mutex> lock(state_mu_);
-  std::vector<int> out;
-  auto it = datasets_.find(dataset);
-  if (it == datasets_.end()) return out;
-  for (const auto& [id, epoch] : it->second.replica_epochs) {
-    (void)epoch;
-    if (shards_[id].alive) out.push_back(id);
-  }
-  return out;
+  return LiveHoldersLocked(dataset);
 }
 
 // ---- Client-facing server --------------------------------------------------
 
-void Router::CloseAllConns() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto& [fd, weak] : conns_) {
-    if (auto conn = weak.lock()) conn->Shutdown();
-  }
-}
-
-void Router::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto accepted = listener_.Accept();
-    if (!accepted.ok()) {
-      if (stopping_.load()) return;
-      ZEUS_LOG(Warning) << opts_.name
-                        << " accept failed: " << accepted.status().ToString();
-      return;
-    }
-    auto conn = std::make_shared<net::FrameConn>(
-        std::move(accepted).value(), "server:" + opts_.name);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopping_.load()) return;
-    conns_[conn->socket().fd()] = conn;
-    conn_threads_.emplace_back([this, conn] { ConnLoop(conn); });
-  }
-}
-
-void Router::ConnLoop(std::shared_ptr<net::FrameConn> conn) {
-  bool first = true;
-  while (!stopping_.load()) {
-    net::Frame req;
-    common::Status st;
-    if (first) {
-      first = false;
-      // Sniff the first 4 bytes: "GET " means the connection speaks HTTP
-      // (a /metrics scrape); anything else is a frame length prefix. No
-      // ambiguity — "GET " read as a little-endian u32 is ~542M, far past
-      // kMaxFrameBytes, so a real frame can never alias it.
-      uint8_t head[4];
-      st = conn->socket().ReadAll(head, 4, /*deadline_ms=*/-1);
-      if (!st.ok()) break;
-      if (std::memcmp(head, "GET ", 4) == 0) {
-        ServeHttp(*conn);
-        break;
-      }
-      uint32_t body_len = 0;
-      for (int i = 0; i < 4; ++i) {
-        body_len |= static_cast<uint32_t>(head[i]) << (8 * i);
-      }
-      st = conn->ReadFrameBody(body_len, &req, opts_.write_deadline_ms);
-    } else {
-      st = conn->ReadFrame(&req, /*deadline_ms=*/-1);
-    }
-    if (!st.ok()) break;
-    net::Frame resp = Dispatch(req);
-    st = conn->WriteFrame(resp, opts_.write_deadline_ms);
-    if (!st.ok()) break;
-  }
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conns_.erase(conn->socket().fd());
-}
-
-void Router::ServeHttp(net::FrameConn& conn) {
-  // "GET " is already consumed; read the rest of the request (capped, with
-  // a deadline — scrapers are line-speed, anything else is garbage).
-  std::string request;
-  while (request.size() < 8192 &&
-         request.find("\r\n\r\n") == std::string::npos) {
-    char c = 0;
-    if (!conn.socket().ReadAll(&c, 1, /*deadline_ms=*/5'000).ok()) break;
-    request.push_back(c);
-  }
-  const std::string path = request.substr(0, request.find(' '));
-
-  std::string status = "404 Not Found";
-  std::string body = "not found\n";
-  if (path == "/metrics") {
-    status = "200 OK";
-    body = PrometheusText(GroupStatsNow(), Health());
-  }
-  const std::string response = common::Format(
-      "HTTP/1.1 %s\r\n"
-      "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-      "Content-Length: %zu\r\n"
-      "Connection: close\r\n\r\n",
-      status.c_str(), body.size()) + body;
-  conn.socket().WriteAll(response.data(), response.size(),
-                         opts_.write_deadline_ms);
-  conn.Shutdown();
-  conn.Close();
-}
-
 net::Frame Router::Dispatch(const net::Frame& req) {
+  using net::FrameType;
   switch (req.type) {
-    case net::FrameType::kPing:
-      return Reply(req.request_id, net::FrameType::kPong, {});
-    case net::FrameType::kExecute:
-      return HandleExecute(req);
-    case net::FrameType::kSubmit:
+    case FrameType::kPing:
+      return MakeReplyFrame(req.request_id, FrameType::kPong);
+    case FrameType::kExecute:
+      return AnswerFrame(
+          req, DecodeExecRequest,
+          [this](const ExecRequest& exec) { return Execute(exec); },
+          FrameType::kResult, EncodeQueryResult);
+    case FrameType::kSubmit:
       return HandleSubmit(req);
-    case net::FrameType::kCancel:
-    case net::FrameType::kTicketState:
-    case net::FrameType::kTicketWait:
+    case FrameType::kCancel:
+    case FrameType::kTicketState:
+    case FrameType::kTicketWait:
       return HandleTicketOp(req);
-    case net::FrameType::kStats:
-      return Reply(req.request_id, net::FrameType::kStatsReply,
-                   EncodeStatsReply(Stats()));
-    case net::FrameType::kRegisterDataset:
-      return HandleRegisterDataset(req);
-    case net::FrameType::kRemoveDataset:
-      return HandleRemoveDataset(req);
-    case net::FrameType::kAppendFrames:
-      return HandleAppendFrames(req);
-    case net::FrameType::kSubscribe:
-      return HandleSubscribe(req);
-    case net::FrameType::kStreamPoll:
-      return HandleStreamPoll(req);
-    case net::FrameType::kUnsubscribe:
-      return HandleUnsubscribe(req);
+    case FrameType::kStats:
+      return MakeReplyFrame(req.request_id, FrameType::kStatsReply,
+                            EncodeStatsReply(Stats()));
+    case FrameType::kRegisterDataset:
+      return AnswerFrame(
+          req, DecodeDatasetSpec,
+          [this](const DatasetSpec& spec) { return RegisterDataset(spec); },
+          FrameType::kRegisterReply, EncodeRegisterReply);
+    case FrameType::kRemoveDataset:
+      return AnswerFrame(req, DecodeName, [this](const std::string& name) {
+        return RemoveDataset(name);
+      });
+    case FrameType::kAppendFrames:
+      return AnswerFrame(
+          req, DecodeAppendFrames,
+          [this](const AppendFramesRequest& append)
+              -> common::Result<AppendReply> {
+            if (append.relative_frames == 0) {
+              return common::Status::InvalidArgument(
+                  "the router takes the relative append form "
+                  "(relative_frames > 0); the absolute form is the "
+                  "router->shard direction");
+            }
+            return AppendFrames(append.name, append.relative_frames);
+          },
+          FrameType::kAppendReply, EncodeAppendReply);
+    case FrameType::kSubscribe:
+      return AnswerFrame(
+          req, DecodeSubscribeRequest,
+          [this](const SubscribeRequest& sub) { return Subscribe(sub); },
+          FrameType::kSubscribeReply, EncodeSubscribeReply);
+    case FrameType::kStreamPoll:
+      return AnswerFrame(
+          req, DecodeStreamPoll,
+          [this](const StreamPollRequest& poll) {
+            return StreamPoll(poll.sub_id, poll.after_seq, poll.timeout_ms);
+          },
+          FrameType::kStreamResult, EncodeStreamResult);
+    case FrameType::kUnsubscribe:
+      return AnswerFrame(req, DecodeTicketId, [this](uint64_t id) {
+        return Unsubscribe(id);
+      });
     default:
-      return MakeErrorFrame(
-          req.request_id,
-          common::Status::InvalidArgument(
-              std::string("unexpected frame ") +
-              net::FrameTypeName(req.type)));
+      return MakeUnexpectedFrame(req);
   }
-}
-
-net::Frame Router::HandleExecute(const net::Frame& req) {
-  ExecRequest exec;
-  if (!DecodeExecRequest(req.payload, &exec)) return BadPayload(req);
-  auto result = Execute(exec);
-  if (!result.ok()) return MakeErrorFrame(req.request_id, result.status());
-  return Reply(req.request_id, net::FrameType::kResult,
-               EncodeQueryResult(result.value()));
 }
 
 net::Frame Router::HandleSubmit(const net::Frame& req) {
   ExecRequest exec;
-  if (!DecodeExecRequest(req.payload, &exec)) return BadPayload(req);
-  std::vector<int> candidates;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    candidates = CandidatesLocked(exec.dataset);
-  }
-  if (candidates.empty()) {
-    return MakeErrorFrame(
-        req.request_id,
-        common::Status::Unavailable("no live replica of '" + exec.dataset +
-                                    "'; re-homing, retry"));
-  }
+  if (!DecodeExecRequest(req.payload, &exec)) return MakeBadPayloadFrame(req);
   // Same replica order as Execute. The ticket pins the shard the query
   // actually landed on; a submission the primary never saw (retryable
   // transport failure) moves to the next replica.
-  common::Status last = common::Status::Unavailable("no candidate tried");
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    RemoteShard* client = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      if (!shards_[candidates[i]].alive) continue;
-      client = shards_[candidates[i]].client.get();
-    }
-    auto ticket = client->Submit(exec);
-    if (ticket.ok()) {
-      if (i > 0) {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        ++read_failovers_;
-      }
-      uint64_t id = 0;
-      {
-        std::lock_guard<std::mutex> lock(tickets_mu_);
-        id = next_ticket_id_++;
-        tickets_[id] = {candidates[i], ticket.value().id(), exec.dataset};
-      }
-      return Reply(req.request_id, net::FrameType::kSubmitReply,
-                   EncodeTicketId(id));
-    }
-    if (!common::IsRetryable(ticket.status().code())) {
-      return MakeErrorFrame(req.request_id, ticket.status());
-    }
-    last = ticket.status();
+  auto served = ReadFromReplicas<RemoteTicket>(
+      exec.dataset, [&](RemoteShard& shard) { return shard.Submit(exec); });
+  if (!served.ok()) return MakeErrorFrame(req.request_id, served.status());
+  uint64_t id = 0;
+  {
+    std::lock_guard<std::mutex> lock(tickets_mu_);
+    id = next_ticket_id_++;
+    tickets_[id] = {served.value().first, served.value().second.id(),
+                    exec.dataset};
   }
-  return MakeErrorFrame(req.request_id, last);
+  return MakeReplyFrame(req.request_id, net::FrameType::kSubmitReply,
+                        EncodeTicketId(id));
 }
 
 net::Frame Router::HandleTicketOp(const net::Frame& req) {
   uint64_t id = 0;
-  if (!DecodeTicketId(req.payload, &id)) return BadPayload(req);
-  int shard_id = -1;
-  uint64_t remote_id = 0;
-  std::string dataset;
+  if (!DecodeTicketId(req.payload, &id)) return MakeBadPayloadFrame(req);
+  RoutedTicket ticket;
   {
     std::lock_guard<std::mutex> lock(tickets_mu_);
     auto it = tickets_.find(id);
@@ -1240,35 +1027,30 @@ net::Frame Router::HandleTicketOp(const net::Frame& req) {
       return MakeErrorFrame(req.request_id,
                             common::Status::NotFound("unknown ticket"));
     }
-    shard_id = it->second.shard;
-    remote_id = it->second.remote_id;
-    dataset = it->second.dataset;
+    ticket = it->second;
   }
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    if (!shards_[shard_id].alive) {
-      // The query died with its shard; the submission must be replayed by
-      // the client (the router cannot know how far it got).
-      return MakeErrorFrame(
-          req.request_id,
-          common::Status::Unavailable("home shard failed over; resubmit"));
-    }
+  RemoteShard* client = LiveClient(ticket.shard);
+  if (client == nullptr) {
+    // The query died with its shard; the submission must be replayed by
+    // the client (the router cannot know how far it got).
+    return MakeErrorFrame(
+        req.request_id,
+        common::Status::Unavailable("home shard failed over; resubmit"));
   }
-  RemoteShard* client = shards_[shard_id].client.get();
   switch (req.type) {
     case net::FrameType::kCancel: {
-      common::Status st = client->Cancel(remote_id);
+      common::Status st = client->Cancel(ticket.remote_id);
       if (!st.ok()) return MakeErrorFrame(req.request_id, st);
-      return Reply(req.request_id, net::FrameType::kOk, {});
+      return MakeReplyFrame(req.request_id, net::FrameType::kOk);
     }
     case net::FrameType::kTicketState: {
-      auto state = client->TicketState(remote_id);
+      auto state = client->TicketState(ticket.remote_id);
       if (!state.ok()) return MakeErrorFrame(req.request_id, state.status());
-      return Reply(req.request_id, net::FrameType::kTicketStateReply,
-                   EncodeTicketState(state.value()));
+      return MakeReplyFrame(req.request_id, net::FrameType::kTicketStateReply,
+                            EncodeTicketState(state.value()));
     }
     default: {  // kTicketWait
-      auto result = client->TicketWait(remote_id);
+      auto result = client->TicketWait(ticket.remote_id);
       // The shard reaps its ticket once a wait resolves (success or a
       // terminal query error); only a transport loss leaves it live.
       if (result.ok() || !common::IsRetryable(result.status().code())) {
@@ -1276,72 +1058,13 @@ net::Frame Router::HandleTicketOp(const net::Frame& req) {
         tickets_.erase(id);
       }
       if (!result.ok()) return MakeErrorFrame(req.request_id, result.status());
-      engine::QueryResult r =
-          AnnotateResult(dataset, shard_id, std::move(result).value());
-      if (r.plan_seconds > 0) PropagatePlans(dataset);
-      return Reply(req.request_id, net::FrameType::kResult,
-                   EncodeQueryResult(r));
+      engine::QueryResult r = AnnotateResult(ticket.dataset, ticket.shard,
+                                             std::move(result).value());
+      if (r.plan_seconds > 0) PropagatePlans(ticket.dataset);
+      return MakeReplyFrame(req.request_id, net::FrameType::kResult,
+                            EncodeQueryResult(r));
     }
   }
-}
-
-net::Frame Router::HandleRegisterDataset(const net::Frame& req) {
-  DatasetSpec spec;
-  if (!DecodeDatasetSpec(req.payload, &spec)) return BadPayload(req);
-  auto reg = RegisterDataset(spec);
-  if (!reg.ok()) return MakeErrorFrame(req.request_id, reg.status());
-  return Reply(req.request_id, net::FrameType::kRegisterReply,
-               EncodeRegisterReply(reg.value()));
-}
-
-net::Frame Router::HandleRemoveDataset(const net::Frame& req) {
-  std::string name;
-  if (!DecodeName(req.payload, &name)) return BadPayload(req);
-  common::Status st = RemoveDataset(name);
-  if (!st.ok()) return MakeErrorFrame(req.request_id, st);
-  return Reply(req.request_id, net::FrameType::kOk, {});
-}
-
-net::Frame Router::HandleAppendFrames(const net::Frame& req) {
-  AppendFramesRequest append;
-  if (!DecodeAppendFrames(req.payload, &append)) return BadPayload(req);
-  if (append.relative_frames == 0) {
-    return MakeErrorFrame(
-        req.request_id,
-        common::Status::InvalidArgument(
-            "the router takes the relative append form (relative_frames > 0);"
-            " the absolute form is the router->shard direction"));
-  }
-  auto reply = AppendFrames(append.name, append.relative_frames);
-  if (!reply.ok()) return MakeErrorFrame(req.request_id, reply.status());
-  return Reply(req.request_id, net::FrameType::kAppendReply,
-               EncodeAppendReply(reply.value()));
-}
-
-net::Frame Router::HandleSubscribe(const net::Frame& req) {
-  SubscribeRequest sub;
-  if (!DecodeSubscribeRequest(req.payload, &sub)) return BadPayload(req);
-  auto reply = Subscribe(sub);
-  if (!reply.ok()) return MakeErrorFrame(req.request_id, reply.status());
-  return Reply(req.request_id, net::FrameType::kSubscribeReply,
-               EncodeSubscribeReply(reply.value()));
-}
-
-net::Frame Router::HandleStreamPoll(const net::Frame& req) {
-  StreamPollRequest poll;
-  if (!DecodeStreamPoll(req.payload, &poll)) return BadPayload(req);
-  auto msg = StreamPoll(poll.sub_id, poll.after_seq, poll.timeout_ms);
-  if (!msg.ok()) return MakeErrorFrame(req.request_id, msg.status());
-  return Reply(req.request_id, net::FrameType::kStreamResult,
-               EncodeStreamResult(msg.value()));
-}
-
-net::Frame Router::HandleUnsubscribe(const net::Frame& req) {
-  uint64_t id = 0;
-  if (!DecodeTicketId(req.payload, &id)) return BadPayload(req);
-  common::Status st = Unsubscribe(id);
-  if (!st.ok()) return MakeErrorFrame(req.request_id, st);
-  return Reply(req.request_id, net::FrameType::kOk, {});
 }
 
 }  // namespace zeus::cluster

@@ -3,19 +3,20 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/metrics_text.h"
 #include "cluster/protocol.h"
 #include "cluster/remote_shard.h"
 #include "engine/shard_ring.h"
-#include "net/frame_conn.h"
-#include "net/socket.h"
+#include "net/frame_server.h"
 
 namespace zeus::cluster {
 
@@ -35,9 +36,10 @@ namespace zeus::cluster {
 // or replica catch-up is mid-flight — or fails with an explicitly
 // retryable status (kUnavailable / kResourceExhausted, see
 // common::IsRetryable). The router never silently degrades a result.
-// Failing over a read mid-call is safe because datasets are immutable and
-// deterministic from their spec: re-executing a read on another replica is
-// at-least-once execution of a pure function.
+// Failing over a read mid-call is safe because a replica's answer is a pure
+// function of its spec, applied frames and plans: re-executing a read on
+// another replica is at-least-once execution of that function, and the
+// epoch annotation marks a replica that is behind.
 //
 // Failover walkthrough (shard S dies, replication >= 2):
 //   1. a query to a dataset whose primary was S fails its connect/write —
@@ -93,7 +95,7 @@ class Router {
 
   common::Status Start();
   void Stop();
-  int port() const { return port_; }
+  int port() const { return server_.port(); }
 
   // ---- ZeusDb-style API (also reachable over the wire) ---------------------
 
@@ -166,12 +168,49 @@ class Router {
     bool have_stats = false;
   };
 
+  // A shard picked under state_mu_ and called after it is released.
+  struct Target {
+    int id;
+    RemoteShard* client;
+  };
+
   // Ordered read candidates for `dataset` under the lock: live replicas in
   // ring order (primary first), then any other live holder. Empty when the
   // dataset has no live replica (re-home in flight) or no shard is alive.
   // For an UNREGISTERED dataset: just the ring owner, so the shard's own
   // NotFound comes back unchanged (pre-replication behavior).
   std::vector<int> CandidatesLocked(const std::string& dataset) const;
+  // Live shards holding a replica of `dataset` (empty when unregistered).
+  std::vector<int> LiveHoldersLocked(const std::string& dataset) const;
+  // Routed-traffic clients of `ids`.
+  std::vector<Target> TargetsLocked(const std::vector<int>& ids) const;
+  // Health probes of every alive shard; takes state_mu_ itself.
+  std::vector<Target> LiveProbes() const;
+  // Routed-traffic client of shard `id` if it is alive, else nullptr;
+  // takes state_mu_ itself.
+  RemoteShard* LiveClient(int id) const;
+
+  // A read: `call` on `dataset`'s candidates, primary first, until one
+  // answers. Dead shards are skipped, a retryable failure moves on to the
+  // next replica, any other failure is the answer. Returns the id of the
+  // shard that answered and its reply.
+  template <typename T>
+  common::Result<std::pair<int, T>> ReadFromReplicas(
+      const std::string& dataset,
+      const std::function<common::Result<T>(RemoteShard&)>& call);
+  // A write: `call` on every target, targets[0] (the primary) first. The
+  // primary must land — its failure is returned; a failed secondary is
+  // logged as `what` and left to the repair pass. Returns the primary's
+  // reply and appends every shard that applied the write to `applied`.
+  template <typename T>
+  common::Result<T> WriteToReplicas(
+      const std::vector<Target>& targets, const std::string& what,
+      std::vector<int>* applied,
+      const std::function<common::Result<T>(RemoteShard&)>& call);
+  // True when `st` says shard `id` lost `name` (e.g. it restarted under the
+  // same endpoint); the replica's epoch is then forgotten so the next
+  // repair pass re-registers it.
+  bool ForgetIfLost(const std::string& name, int id, const common::Status& st);
 
   // Applies the certain-answer annotation: kCertain iff the serving
   // shard's applied epoch (stamped into the result) matches the dataset's
@@ -192,12 +231,6 @@ class Router {
   // everything matches; takes and releases state_mu_ itself.
   void RepairReplicas();
 
-  // Attaches (or re-attaches) a routed subscription to the dataset's
-  // first live replica, primary-first. Returns the hosting shard id and
-  // the shard's reply.
-  common::Result<std::pair<int, SubscribeReply>> AttachSubscription(
-      const SubscribeRequest& req);
-
   void RebuildRingLocked();
   // Declares shard `id` dead: drops it from the ring and from every
   // dataset's replica bookkeeping, then runs RepairReplicas. Called with
@@ -205,22 +238,11 @@ class Router {
   void FailOverLocked(std::unique_lock<std::mutex>& lock, int id);
   void HealthLoop();
 
-  // Client-facing frame/HTTP server.
-  void AcceptLoop();
-  void ConnLoop(std::shared_ptr<net::FrameConn> conn);
-  void CloseAllConns();
+  // Client-facing frames (the FrameServer's dispatch; /metrics is its
+  // HTTP handler).
   net::Frame Dispatch(const net::Frame& req);
-  net::Frame HandleExecute(const net::Frame& req);
   net::Frame HandleSubmit(const net::Frame& req);
   net::Frame HandleTicketOp(const net::Frame& req);
-  net::Frame HandleRegisterDataset(const net::Frame& req);
-  net::Frame HandleRemoveDataset(const net::Frame& req);
-  net::Frame HandleAppendFrames(const net::Frame& req);
-  net::Frame HandleSubscribe(const net::Frame& req);
-  net::Frame HandleStreamPoll(const net::Frame& req);
-  net::Frame HandleUnsubscribe(const net::Frame& req);
-  // GET <path> already sniffed; serves /metrics and closes.
-  void ServeHttp(net::FrameConn& conn);
 
   Options opts_;
 
@@ -248,6 +270,11 @@ class Router {
     // plan sync also advances epochs.
     uint64_t committed_frames = 0;
   };
+  // Live shards the ring places a replica of `name` on whose replica is
+  // missing (true) or lags the committed epoch (false): what the repair
+  // pass fixes and what replicas_behind counts.
+  std::vector<std::pair<int, bool>> BehindLocked(
+      const std::string& name, const DatasetState& state) const;
 
   mutable std::mutex state_mu_;
   std::vector<ShardState> shards_;
@@ -299,18 +326,11 @@ class Router {
   std::map<uint64_t, RoutedSub> subs_;
   uint64_t next_sub_id_ = 1;
 
-  net::TcpListener listener_;
-  int port_ = 0;
+  net::FrameServer server_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
   std::thread health_thread_;
   std::mutex health_mu_;
   std::condition_variable health_cv_;
-
-  std::mutex conns_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::map<int, std::weak_ptr<net::FrameConn>> conns_;
 };
 
 }  // namespace zeus::cluster

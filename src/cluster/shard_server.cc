@@ -8,250 +8,148 @@
 
 namespace zeus::cluster {
 
-namespace {
-
-net::Frame OkFrame(uint64_t request_id) {
-  net::Frame f;
-  f.type = net::FrameType::kOk;
-  f.request_id = request_id;
-  return f;
-}
-
-net::Frame Reply(uint64_t request_id, net::FrameType type,
-                 std::string payload) {
-  net::Frame f;
-  f.type = type;
-  f.request_id = request_id;
-  f.payload = std::move(payload);
-  return f;
-}
-
-net::Frame BadPayload(const net::Frame& req) {
-  return MakeErrorFrame(
-      req.request_id,
-      common::Status::InvalidArgument(
-          std::string("malformed ") + net::FrameTypeName(req.type) +
-          " payload"));
-}
-
-}  // namespace
-
 ShardServer::ShardServer(Options options)
-    : opts_(std::move(options)), engine_(opts_.engine) {}
+    : opts_(std::move(options)),
+      engine_(opts_.engine),
+      server_({opts_.host, opts_.port, opts_.write_deadline_ms, opts_.name},
+              [this](const net::Frame& req) { return Dispatch(req); }) {}
 
 ShardServer::~ShardServer() { Stop(); }
 
-common::Status ShardServer::Start() {
-  if (running_.load()) return common::Status::FailedPrecondition("running");
-  ZEUS_RETURN_IF_ERROR(listener_.Listen(opts_.host, opts_.port));
-  port_ = listener_.port();
-  stopping_.store(false);
-  running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  ZEUS_LOG(Info) << opts_.name << " listening on " << opts_.host << ":"
-                 << port_;
-  return common::Status::Ok();
-}
-
-void ShardServer::CloseAllConns() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto& [fd, weak] : conns_) {
-    if (auto conn = weak.lock()) conn->Shutdown();
-  }
-}
-
 void ShardServer::Stop() {
-  if (!running_.exchange(false)) return;
-  stopping_.store(true);
-  listener_.Close();
+  if (!server_.StopAccepting()) return;
   // Cancel standing queries first: a connection thread parked in a
   // long-poll Next() wakes as kCancelled instead of riding out its
   // timeout against a closing server.
-  {
-    std::lock_guard<std::mutex> lock(subs_mu_);
-    for (auto& [id, sub] : subs_) sub.ticket.Cancel();
-  }
+  CancelSubscriptions();
   // Drain before kicking connections: requests already inside the engine
   // finish and their responses still go out. New frames racing in will
   // fail when their connection is shut below — the cluster contract is
   // explicit kUnavailable, not silent loss, and the client side maps a
   // dead connection to exactly that.
   engine_.DrainAll();
-  CloseAllConns();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) t.join();
+  server_.Stop();
 }
 
 void ShardServer::Kill() {
-  if (!running_.exchange(false)) return;
-  stopping_.store(true);
-  listener_.Close();
-  {
-    // Even the kill -9 stand-in must unpark long-poll threads — they are
-    // this process's threads, not the dead server's.
-    std::lock_guard<std::mutex> lock(subs_mu_);
-    for (auto& [id, sub] : subs_) sub.ticket.Cancel();
-  }
-  CloseAllConns();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) t.join();
+  if (!server_.StopAccepting()) return;
+  // Even the kill -9 stand-in must unpark long-poll threads — they are
+  // this process's threads, not the dead server's.
+  CancelSubscriptions();
+  server_.Stop();
 }
 
-void ShardServer::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto accepted = listener_.Accept();
-    if (!accepted.ok()) {
-      if (stopping_.load()) return;
-      ZEUS_LOG(Warning) << opts_.name
-                        << " accept failed: " << accepted.status().ToString();
-      return;
-    }
-    auto conn = std::make_shared<net::FrameConn>(
-        std::move(accepted).value(), "server:" + opts_.name);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopping_.load()) return;
-    conns_[conn->socket().fd()] = conn;
-    conn_threads_.emplace_back([this, conn] { ConnLoop(conn); });
-  }
-}
-
-void ShardServer::ConnLoop(std::shared_ptr<net::FrameConn> conn) {
-  while (!stopping_.load()) {
-    net::Frame req;
-    // Block until a frame arrives; Stop()/Kill() shut the socket down,
-    // which surfaces here as an error.
-    common::Status st = conn->ReadFrame(&req, /*deadline_ms=*/-1);
-    if (!st.ok()) break;  // clean close, corrupt frame, or shutdown
-    net::Frame resp = Dispatch(req);
-    st = conn->WriteFrame(resp, opts_.write_deadline_ms);
-    if (!st.ok()) break;
-  }
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conns_.erase(conn->socket().fd());
+void ShardServer::CancelSubscriptions() {
+  std::lock_guard<std::mutex> lock(subs_mu_);
+  for (auto& [id, sub] : subs_) sub.ticket.Cancel();
 }
 
 net::Frame ShardServer::Dispatch(const net::Frame& req) {
+  using net::FrameType;
+  // Handlers take the decoded payload; AnswerFrame does the wire half.
+  const auto to = [this](auto handler) {
+    return [this, handler](const auto& decoded) {
+      return (this->*handler)(decoded);
+    };
+  };
   switch (req.type) {
-    case net::FrameType::kPing:
-      return Reply(req.request_id, net::FrameType::kPong, {});
-    case net::FrameType::kExecute:
-      return HandleExecute(req);
-    case net::FrameType::kSubmit:
-      return HandleSubmit(req);
-    case net::FrameType::kCancel:
-      return HandleCancel(req);
-    case net::FrameType::kTicketState:
-      return HandleTicketState(req);
-    case net::FrameType::kTicketWait:
-      return HandleTicketWait(req);
-    case net::FrameType::kStats:
-      return HandleStats(req);
-    case net::FrameType::kRegisterDataset:
-      return HandleRegisterDataset(req);
-    case net::FrameType::kRemoveDataset:
-      return HandleRemoveDataset(req);
-    case net::FrameType::kSyncPlans:
-      return HandleSyncPlans(req);
-    case net::FrameType::kEpochQuery:
-      return HandleEpochQuery(req);
-    case net::FrameType::kAppendFrames:
-      return HandleAppendFrames(req);
-    case net::FrameType::kSubscribe:
-      return HandleSubscribe(req);
-    case net::FrameType::kStreamPoll:
-      return HandleStreamPoll(req);
-    case net::FrameType::kUnsubscribe:
-      return HandleUnsubscribe(req);
+    case FrameType::kPing:
+      return MakeReplyFrame(req.request_id, FrameType::kPong);
+    case FrameType::kExecute:
+      return AnswerFrame(req, DecodeExecRequest, to(&ShardServer::Execute),
+                         FrameType::kResult, EncodeQueryResult);
+    case FrameType::kSubmit:
+      return AnswerFrame(req, DecodeExecRequest, to(&ShardServer::Submit),
+                         FrameType::kSubmitReply, EncodeTicketId);
+    case FrameType::kCancel:
+      return AnswerFrame(req, DecodeTicketId, to(&ShardServer::Cancel));
+    case FrameType::kTicketState:
+      return AnswerFrame(req, DecodeTicketId, to(&ShardServer::TicketState),
+                         FrameType::kTicketStateReply, EncodeTicketState);
+    case FrameType::kTicketWait:
+      return AnswerFrame(req, DecodeTicketId, to(&ShardServer::TicketWait),
+                         FrameType::kResult, EncodeQueryResult);
+    case FrameType::kStats: {
+      StatsReply reply;
+      reply.stats = engine_.Stats();
+      reply.num_shards = 1;
+      return MakeReplyFrame(req.request_id, FrameType::kStatsReply,
+                            EncodeStatsReply(reply));
+    }
+    case FrameType::kRegisterDataset:
+      return AnswerFrame(req, DecodeDatasetSpec,
+                         to(&ShardServer::RegisterDataset),
+                         FrameType::kRegisterReply, EncodeRegisterReply);
+    case FrameType::kRemoveDataset:
+      return AnswerFrame(req, DecodeName, to(&ShardServer::RemoveDataset));
+    case FrameType::kSyncPlans:
+      return AnswerFrame(req, DecodeSyncPlans, to(&ShardServer::SyncPlans),
+                         FrameType::kSyncReply, EncodeSyncReply);
+    case FrameType::kEpochQuery:
+      return AnswerFrame(req, DecodeName, to(&ShardServer::EpochOf),
+                         FrameType::kEpochReply, EncodeEpochReply);
+    case FrameType::kAppendFrames:
+      return AnswerFrame(req, DecodeAppendFrames,
+                         to(&ShardServer::AppendFrames),
+                         FrameType::kAppendReply, EncodeAppendReply);
+    case FrameType::kSubscribe:
+      return AnswerFrame(req, DecodeSubscribeRequest,
+                         to(&ShardServer::Subscribe),
+                         FrameType::kSubscribeReply, EncodeSubscribeReply);
+    case FrameType::kStreamPoll:
+      return AnswerFrame(req, DecodeStreamPoll, to(&ShardServer::StreamPoll),
+                         FrameType::kStreamResult, EncodeStreamResult);
+    case FrameType::kUnsubscribe:
+      return AnswerFrame(req, DecodeTicketId, to(&ShardServer::Unsubscribe));
     default:
-      return MakeErrorFrame(
-          req.request_id,
-          common::Status::InvalidArgument(
-              std::string("unexpected frame ") +
-              net::FrameTypeName(req.type)));
+      return MakeUnexpectedFrame(req);
   }
 }
 
-net::Frame ShardServer::HandleExecute(const net::Frame& req) {
-  ExecRequest exec;
-  if (!DecodeExecRequest(req.payload, &exec)) return BadPayload(req);
+common::Result<engine::QueryResult> ShardServer::Execute(
+    const ExecRequest& exec) {
   auto parsed = core::QueryParser::Parse(exec.sql);
-  if (!parsed.ok()) return MakeErrorFrame(req.request_id, parsed.status());
-  engine::QueryOptions opts = engine_.options().exec;
-  opts.priority = exec.priority;
-  opts.tier = exec.tier;
-  opts.min_accuracy = exec.min_accuracy;
-  opts.max_latency_budget = exec.max_latency_budget;
-  auto result = engine_.Execute(exec.dataset, parsed.value(), opts);
-  if (!result.ok()) return MakeErrorFrame(req.request_id, result.status());
+  if (!parsed.ok()) return parsed.status();
+  auto result =
+      engine_.Execute(exec.dataset, parsed.value(), ExecOptions(exec));
+  if (!result.ok()) return result.status();
   engine::QueryResult stamped = std::move(result).value();
   stamped.epoch = AppliedEpoch(exec.dataset);
-  return Reply(req.request_id, net::FrameType::kResult,
-               EncodeQueryResult(stamped));
+  return stamped;
 }
 
-net::Frame ShardServer::HandleSubmit(const net::Frame& req) {
-  ExecRequest exec;
-  if (!DecodeExecRequest(req.payload, &exec)) return BadPayload(req);
+common::Result<uint64_t> ShardServer::Submit(const ExecRequest& exec) {
   auto parsed = core::QueryParser::Parse(exec.sql);
-  if (!parsed.ok()) return MakeErrorFrame(req.request_id, parsed.status());
-  engine::QueryOptions opts = engine_.options().exec;
-  opts.priority = exec.priority;
-  opts.tier = exec.tier;
-  opts.min_accuracy = exec.min_accuracy;
-  opts.max_latency_budget = exec.max_latency_budget;
-  auto ticket = engine_.Submit(exec.dataset, parsed.value(), opts);
-  if (!ticket.ok()) return MakeErrorFrame(req.request_id, ticket.status());
-  uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(tickets_mu_);
-    id = next_ticket_id_++;
-    tickets_.emplace(id,
-                     PendingTicket{std::move(ticket).value(), exec.dataset});
-  }
-  return Reply(req.request_id, net::FrameType::kSubmitReply,
-               EncodeTicketId(id));
+  if (!parsed.ok()) return parsed.status();
+  auto ticket =
+      engine_.Submit(exec.dataset, parsed.value(), ExecOptions(exec));
+  if (!ticket.ok()) return ticket.status();
+  std::lock_guard<std::mutex> lock(tickets_mu_);
+  const uint64_t id = next_ticket_id_++;
+  tickets_.emplace(id, PendingTicket{std::move(ticket).value(), exec.dataset});
+  return id;
 }
 
-net::Frame ShardServer::HandleCancel(const net::Frame& req) {
-  uint64_t id = 0;
-  if (!DecodeTicketId(req.payload, &id)) return BadPayload(req);
+common::Status ShardServer::Cancel(uint64_t id) {
   std::lock_guard<std::mutex> lock(tickets_mu_);
   auto it = tickets_.find(id);
   // Cancel of an unknown (already reaped / never existed) ticket is a
   // no-op, which is what makes kCancel idempotent and retry-safe.
   if (it != tickets_.end()) it->second.ticket.Cancel();
-  return OkFrame(req.request_id);
+  return common::Status::Ok();
 }
 
-net::Frame ShardServer::HandleTicketState(const net::Frame& req) {
-  uint64_t id = 0;
-  if (!DecodeTicketId(req.payload, &id)) return BadPayload(req);
+common::Result<TicketStateReply> ShardServer::TicketState(uint64_t id) {
   std::lock_guard<std::mutex> lock(tickets_mu_);
   auto it = tickets_.find(id);
-  if (it == tickets_.end()) {
-    return MakeErrorFrame(req.request_id,
-                          common::Status::NotFound("unknown ticket"));
-  }
+  if (it == tickets_.end()) return common::Status::NotFound("unknown ticket");
   TicketStateReply reply;
   reply.state = it->second.ticket.state();
   reply.progress = it->second.ticket.progress();
-  return Reply(req.request_id, net::FrameType::kTicketStateReply,
-               EncodeTicketState(reply));
+  return reply;
 }
 
-net::Frame ShardServer::HandleTicketWait(const net::Frame& req) {
-  uint64_t id = 0;
-  if (!DecodeTicketId(req.payload, &id)) return BadPayload(req);
+common::Result<engine::QueryResult> ShardServer::TicketWait(uint64_t id) {
   std::optional<engine::QueryTicket> ticket;
   std::string dataset;
   {
@@ -262,10 +160,7 @@ net::Frame ShardServer::HandleTicketWait(const net::Frame& req) {
       dataset = it->second.dataset;
     }
   }
-  if (!ticket.has_value()) {
-    return MakeErrorFrame(req.request_id,
-                          common::Status::NotFound("unknown ticket"));
-  }
+  if (!ticket.has_value()) return common::Status::NotFound("unknown ticket");
   // Wait outside the lock — other ticket operations proceed meanwhile.
   const auto& result = ticket->Wait();
   {
@@ -273,24 +168,13 @@ net::Frame ShardServer::HandleTicketWait(const net::Frame& req) {
     std::lock_guard<std::mutex> lock(tickets_mu_);
     tickets_.erase(id);
   }
-  if (!result.ok()) return MakeErrorFrame(req.request_id, result.status());
+  if (!result.ok()) return result.status();
   engine::QueryResult stamped = result.value();
   stamped.epoch = AppliedEpoch(dataset);
-  return Reply(req.request_id, net::FrameType::kResult,
-               EncodeQueryResult(stamped));
+  return stamped;
 }
 
-net::Frame ShardServer::HandleStats(const net::Frame& req) {
-  StatsReply reply;
-  reply.stats = engine_.Stats();
-  reply.num_shards = 1;
-  return Reply(req.request_id, net::FrameType::kStatsReply,
-               EncodeStatsReply(reply));
-}
-
-net::Frame ShardServer::HandleRegisterDataset(const net::Frame& req) {
-  DatasetSpec spec;
-  if (!DecodeDatasetSpec(req.payload, &spec)) return BadPayload(req);
+common::Result<uint64_t> ShardServer::RegisterDataset(const DatasetSpec& spec) {
   if (!engine_.HasDataset(spec.name)) {
     auto dataset =
         video::SyntheticDataset::Generate(ProfileFor(spec), spec.seed);
@@ -298,7 +182,7 @@ net::Frame ShardServer::HandleRegisterDataset(const net::Frame& req) {
     // A racing duplicate registration is fine — the spec is deterministic,
     // so both writers produced the same dataset.
     if (!st.ok() && st.code() != common::StatusCode::kAlreadyExists) {
-      return MakeErrorFrame(req.request_id, st);
+      return st;
     }
     ZEUS_LOG(Info) << opts_.name << " registered dataset '" << spec.name
                    << "'";
@@ -311,108 +195,73 @@ net::Frame ShardServer::HandleRegisterDataset(const net::Frame& req) {
                      << spec.name << "'";
     }
   }
-  {
-    // Monotone: a re-delivered (retried or stale) registration can only
-    // hold the epoch, never roll it back.
-    std::lock_guard<std::mutex> lock(epochs_mu_);
-    uint64_t& applied = epochs_[spec.name];
-    applied = std::max(applied, spec.epoch);
-  }
-  return Reply(req.request_id, net::FrameType::kRegisterReply,
-               EncodeRegisterReply(warmed));
+  RaiseEpoch(spec.name, spec.epoch);
+  return warmed;
 }
 
-net::Frame ShardServer::HandleRemoveDataset(const net::Frame& req) {
-  std::string name;
-  if (!DecodeName(req.payload, &name)) return BadPayload(req);
+common::Status ShardServer::RemoveDataset(const std::string& name) {
   if (engine_.HasDataset(name)) {
     engine_.DrainDataset(name);
     engine_.RemoveDataset(name);
   }
-  {
-    std::lock_guard<std::mutex> lock(epochs_mu_);
-    epochs_.erase(name);
-  }
-  return OkFrame(req.request_id);
+  std::lock_guard<std::mutex> lock(epochs_mu_);
+  epochs_.erase(name);
+  return common::Status::Ok();
 }
 
-net::Frame ShardServer::HandleSyncPlans(const net::Frame& req) {
-  SyncPlansRequest sync;
-  if (!DecodeSyncPlans(req.payload, &sync)) return BadPayload(req);
+common::Result<SyncReply> ShardServer::SyncPlans(
+    const SyncPlansRequest& sync) {
   if (!engine_.HasDataset(sync.name)) {
     // No replica here — the router falls back to a full RegisterDataset.
-    return MakeErrorFrame(
-        req.request_id,
-        common::Status::NotFound("no replica of '" + sync.name + "'"));
+    return common::Status::NotFound("no replica of '" + sync.name + "'");
   }
   SyncReply reply;
   // Re-read the dataset's persisted plans from the shared catalog; plans
   // trained elsewhere since the last sync become memory-resident here, so
   // a later promotion answers with planner_runs == 0.
   reply.plans_warmed = engine_.WarmUpDataset(sync.name);
-  {
-    std::lock_guard<std::mutex> lock(epochs_mu_);
-    uint64_t& applied = epochs_[sync.name];
-    applied = std::max(applied, sync.epoch);
-    reply.epoch = applied;
-  }
-  return Reply(req.request_id, net::FrameType::kSyncReply,
-               EncodeSyncReply(reply));
+  reply.epoch = RaiseEpoch(sync.name, sync.epoch);
+  return reply;
 }
 
-net::Frame ShardServer::HandleEpochQuery(const net::Frame& req) {
-  std::string name;
-  if (!DecodeName(req.payload, &name)) return BadPayload(req);
+common::Result<EpochReply> ShardServer::EpochOf(const std::string& name) {
   EpochReply reply;
   reply.has_dataset = engine_.HasDataset(name);
   reply.epoch = AppliedEpoch(name);
   if (const video::SyntheticDataset* ds = engine_.dataset(name)) {
     reply.stream_length = static_cast<uint64_t>(ds->stream_length());
   }
-  return Reply(req.request_id, net::FrameType::kEpochReply,
-               EncodeEpochReply(reply));
+  return reply;
 }
 
-net::Frame ShardServer::HandleAppendFrames(const net::Frame& req) {
-  AppendFramesRequest append;
-  if (!DecodeAppendFrames(req.payload, &append)) return BadPayload(req);
+common::Result<AppendReply> ShardServer::AppendFrames(
+    const AppendFramesRequest& append) {
   // Shards take only the absolute form: by the time an append reaches a
   // replica it must be replayable as-is (protocol.h). The relative
   // convenience form is the router's to resolve.
   if (append.target_frames == 0) {
-    return MakeErrorFrame(
-        req.request_id,
-        common::Status::InvalidArgument(
-            "shard requires the absolute append form (target_frames > 0)"));
+    return common::Status::InvalidArgument(
+        "shard requires the absolute append form (target_frames > 0)");
   }
   auto outcome = engine_.GrowDataset(
       append.name, static_cast<long>(append.target_frames), append.epoch);
-  if (!outcome.ok()) return MakeErrorFrame(req.request_id, outcome.status());
-  {
-    // The append commits a group epoch like a registration does: monotone,
-    // so replays and out-of-order deliveries can only hold it.
-    std::lock_guard<std::mutex> lock(epochs_mu_);
-    uint64_t& applied = epochs_[append.name];
-    applied = std::max(applied, append.epoch);
-  }
+  if (!outcome.ok()) return outcome.status();
+  // The append commits a group epoch like a registration does.
+  RaiseEpoch(append.name, append.epoch);
   AppendReply reply;
   reply.frame_epoch = outcome.value().frame_epoch;
   reply.stream_length = static_cast<uint64_t>(outcome.value().stream_length);
   reply.appended = static_cast<uint64_t>(outcome.value().appended);
-  return Reply(req.request_id, net::FrameType::kAppendReply,
-               EncodeAppendReply(reply));
+  return reply;
 }
 
-net::Frame ShardServer::HandleSubscribe(const net::Frame& req) {
-  SubscribeRequest sub;
-  if (!DecodeSubscribeRequest(req.payload, &sub)) return BadPayload(req);
+common::Result<SubscribeReply> ShardServer::Subscribe(
+    const SubscribeRequest& sub) {
   if (sub.sub_id == 0) {
     // Ids are always the caller's here (the router's routed id, or a direct
     // client's own): a server-assigned id could not survive a re-attach.
-    return MakeErrorFrame(
-        req.request_id,
-        common::Status::InvalidArgument("shard subscribe needs a caller-"
-                                        "chosen sub_id (> 0)"));
+    return common::Status::InvalidArgument(
+        "shard subscribe needs a caller-chosen sub_id (> 0)");
   }
   SubscribeReply reply;
   reply.sub_id = sub.sub_id;
@@ -425,8 +274,7 @@ net::Frame ShardServer::HandleSubscribe(const net::Frame& req) {
       const video::SyntheticDataset* ds = engine_.dataset(it->second.dataset);
       reply.frame_epoch = ds != nullptr ? ds->frame_epoch() : 0;
       reply.attached_existing = true;
-      return Reply(req.request_id, net::FrameType::kSubscribeReply,
-                   EncodeSubscribeReply(reply));
+      return reply;
     }
   }
   engine::SubscribeOptions opts;
@@ -437,7 +285,7 @@ net::Frame ShardServer::HandleSubscribe(const net::Frame& req) {
   opts.window_frames = sub.window_frames;
   if (sub.max_buffered > 0) opts.max_buffered = sub.max_buffered;
   auto ticket = engine_.Subscribe(sub.dataset, sub.sql, opts);
-  if (!ticket.ok()) return MakeErrorFrame(req.request_id, ticket.status());
+  if (!ticket.ok()) return ticket.status();
   {
     std::lock_guard<std::mutex> lock(subs_mu_);
     // A cancelled husk under this id (the replay check above skipped it)
@@ -448,13 +296,11 @@ net::Frame ShardServer::HandleSubscribe(const net::Frame& req) {
   }
   const video::SyntheticDataset* ds = engine_.dataset(sub.dataset);
   reply.frame_epoch = ds != nullptr ? ds->frame_epoch() : 0;
-  return Reply(req.request_id, net::FrameType::kSubscribeReply,
-               EncodeSubscribeReply(reply));
+  return reply;
 }
 
-net::Frame ShardServer::HandleStreamPoll(const net::Frame& req) {
-  StreamPollRequest poll;
-  if (!DecodeStreamPoll(req.payload, &poll)) return BadPayload(req);
+common::Result<StreamResultMsg> ShardServer::StreamPoll(
+    const StreamPollRequest& poll) {
   std::optional<engine::SubscriptionTicket> ticket;
   std::string dataset;
   {
@@ -469,26 +315,22 @@ net::Frame ShardServer::HandleStreamPoll(const net::Frame& req) {
     // This shard does not know the subscription — restarted, or never its
     // home. NotFound is the router's cue to re-attach (re-subscribe) on
     // the current primary and retry.
-    return MakeErrorFrame(req.request_id,
-                          common::Status::NotFound("unknown subscription"));
+    return common::Status::NotFound("unknown subscription");
   }
   // Long-poll outside the lock; timeouts surface as kUnavailable
   // (retryable, nothing consumed — the cursor is the client's).
   auto update =
       ticket->Next(poll.after_seq, static_cast<int>(poll.timeout_ms));
-  if (!update.ok()) return MakeErrorFrame(req.request_id, update.status());
+  if (!update.ok()) return update.status();
   StreamResultMsg msg;
   msg.seq = update.value().seq;
   msg.dropped = static_cast<uint64_t>(ticket->dropped());
   msg.result = std::move(update).value().result;
   msg.result.epoch = AppliedEpoch(dataset);
-  return Reply(req.request_id, net::FrameType::kStreamResult,
-               EncodeStreamResult(msg));
+  return msg;
 }
 
-net::Frame ShardServer::HandleUnsubscribe(const net::Frame& req) {
-  uint64_t id = 0;
-  if (!DecodeTicketId(req.payload, &id)) return BadPayload(req);
+common::Status ShardServer::Unsubscribe(uint64_t id) {
   std::lock_guard<std::mutex> lock(subs_mu_);
   auto it = subs_.find(id);
   // Unknown id (already unsubscribed, or a shard that restarted) is a
@@ -497,7 +339,23 @@ net::Frame ShardServer::HandleUnsubscribe(const net::Frame& req) {
     it->second.ticket.Cancel();
     subs_.erase(it);
   }
-  return OkFrame(req.request_id);
+  return common::Status::Ok();
+}
+
+engine::QueryOptions ShardServer::ExecOptions(const ExecRequest& exec) const {
+  engine::QueryOptions opts = engine_.options().exec;
+  opts.priority = exec.priority;
+  opts.tier = exec.tier;
+  opts.min_accuracy = exec.min_accuracy;
+  opts.max_latency_budget = exec.max_latency_budget;
+  return opts;
+}
+
+uint64_t ShardServer::RaiseEpoch(const std::string& name, uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(epochs_mu_);
+  uint64_t& applied = epochs_[name];
+  applied = std::max(applied, epoch);
+  return applied;
 }
 
 uint64_t ShardServer::AppliedEpoch(const std::string& name) {

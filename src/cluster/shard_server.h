@@ -1,18 +1,13 @@
 #ifndef ZEUS_CLUSTER_SHARD_SERVER_H_
 #define ZEUS_CLUSTER_SHARD_SERVER_H_
 
-#include <atomic>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cluster/protocol.h"
 #include "engine/query_engine.h"
-#include "net/frame_conn.h"
-#include "net/socket.h"
+#include "net/frame_server.h"
 
 namespace zeus::cluster {
 
@@ -21,10 +16,11 @@ namespace zeus::cluster {
 // (tools/shardd.cc) — tests run it in-process against RemoteShard clients
 // so every fault-injection scenario is single-process and deterministic.
 //
-// Connection model: one thread per connection, one request in flight per
-// connection (strict request/response — concurrency comes from clients
-// opening more connections, see RemoteShard's pool). A connection thread
-// blocked in a long Execute keeps only its own connection busy.
+// Connection model: net::FrameServer's — one thread per connection, one
+// request in flight per connection (concurrency comes from clients opening
+// more connections, see RemoteShard's pool). A connection thread blocked in
+// a long Execute keeps only its own connection busy. The shard serves no
+// HTTP: a GET on its port is answered 404.
 //
 // The engine's plan cache should point at the cluster's shared persist
 // dir: RegisterDataset frames with `warm_plans` then pull the dataset's
@@ -51,7 +47,7 @@ class ShardServer {
   ShardServer(const ShardServer&) = delete;
   ShardServer& operator=(const ShardServer&) = delete;
 
-  common::Status Start();
+  common::Status Start() { return server_.Start(); }
 
   // Graceful stop: close the listener, kick live connections, drain the
   // engine's queued + running work (QueryEngine::DrainAll), join threads.
@@ -63,50 +59,43 @@ class ShardServer {
   // completed.
   void Kill();
 
-  int port() const { return port_; }
-  bool running() const { return running_.load(); }
+  int port() const { return server_.port(); }
+  bool running() const { return server_.running(); }
   engine::QueryEngine& engine() { return engine_; }
 
  private:
-  void AcceptLoop();
-  void ConnLoop(std::shared_ptr<net::FrameConn> conn);
   // Builds the response for one request frame. Never throws; malformed
   // payloads come back as kError(kInvalidArgument).
   net::Frame Dispatch(const net::Frame& req);
 
-  net::Frame HandleExecute(const net::Frame& req);
-  net::Frame HandleSubmit(const net::Frame& req);
-  net::Frame HandleCancel(const net::Frame& req);
-  net::Frame HandleTicketState(const net::Frame& req);
-  net::Frame HandleTicketWait(const net::Frame& req);
-  net::Frame HandleStats(const net::Frame& req);
-  net::Frame HandleRegisterDataset(const net::Frame& req);
-  net::Frame HandleRemoveDataset(const net::Frame& req);
-  net::Frame HandleSyncPlans(const net::Frame& req);
-  net::Frame HandleEpochQuery(const net::Frame& req);
-  net::Frame HandleAppendFrames(const net::Frame& req);
-  net::Frame HandleSubscribe(const net::Frame& req);
-  net::Frame HandleStreamPoll(const net::Frame& req);
-  net::Frame HandleUnsubscribe(const net::Frame& req);
+  // One handler per request type, on the decoded payload.
+  common::Result<engine::QueryResult> Execute(const ExecRequest& exec);
+  common::Result<uint64_t> Submit(const ExecRequest& exec);
+  common::Status Cancel(uint64_t ticket_id);
+  common::Result<TicketStateReply> TicketState(uint64_t ticket_id);
+  common::Result<engine::QueryResult> TicketWait(uint64_t ticket_id);
+  common::Result<uint64_t> RegisterDataset(const DatasetSpec& spec);
+  common::Status RemoveDataset(const std::string& name);
+  common::Result<SyncReply> SyncPlans(const SyncPlansRequest& sync);
+  common::Result<EpochReply> EpochOf(const std::string& name);
+  common::Result<AppendReply> AppendFrames(const AppendFramesRequest& append);
+  common::Result<SubscribeReply> Subscribe(const SubscribeRequest& sub);
+  common::Result<StreamResultMsg> StreamPoll(const StreamPollRequest& poll);
+  common::Status Unsubscribe(uint64_t sub_id);
 
-  // The shard's applied epoch for `name` (0 if never registered).
+  // The engine's query options with the request's priority and accuracy
+  // budget applied.
+  engine::QueryOptions ExecOptions(const ExecRequest& exec) const;
+  // The shard's applied epoch for `name` (0 if never registered), and its
+  // monotone advance to at least `epoch`: a re-delivered (retried, stale or
+  // out-of-order) write can only hold it, never roll it back.
   uint64_t AppliedEpoch(const std::string& name);
-
-  void CloseAllConns();
+  uint64_t RaiseEpoch(const std::string& name, uint64_t epoch);
+  // Wakes every connection thread parked in a long-poll Next().
+  void CancelSubscriptions();
 
   Options opts_;
   engine::QueryEngine engine_;
-
-  net::TcpListener listener_;
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  std::mutex conns_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::map<int, std::weak_ptr<net::FrameConn>> conns_;  // keyed by fd
-  int next_conn_id_ = 0;
 
   // Async surface: tickets live here between kSubmit and the terminal
   // kTicketWait (which erases them). Tickets a client abandons stay until
@@ -139,6 +128,9 @@ class ShardServer {
   };
   std::mutex subs_mu_;
   std::map<uint64_t, PendingSub> subs_;
+
+  // Last: its connection threads dispatch into everything above.
+  net::FrameServer server_;
 };
 
 }  // namespace zeus::cluster

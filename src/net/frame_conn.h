@@ -24,13 +24,12 @@ class FrameConn {
   common::Status WriteFrame(const Frame& frame, int deadline_ms);
   common::Status ReadFrame(Frame* out, int deadline_ms);
   // Continuation of ReadFrame for callers that already consumed the 4-byte
-  // length prefix themselves (the router sniffs "GET " for /metrics before
-  // deciding the connection speaks HTTP or frames).
+  // length prefix themselves (FrameServer sniffs "GET " before deciding the
+  // connection speaks HTTP or frames).
   common::Status ReadFrameBody(uint32_t body_len, Frame* out, int deadline_ms);
 
   bool valid() const { return socket_.valid(); }
   TcpSocket& socket() { return socket_; }
-  const std::string& tag() const { return tag_; }
   void Close() { socket_.Close(); }
   void Shutdown() { socket_.Shutdown(); }
 

@@ -201,7 +201,7 @@ common::Status TcpListener::Listen(const std::string& host, int port) {
     ::close(fd);
     return Unavailable("getsockname");
   }
-  fd_ = fd;
+  fd_.store(fd);
   port_ = ntohs(addr.sin_port);
   return common::Status::Ok();
 }
@@ -209,11 +209,11 @@ common::Status TcpListener::Listen(const std::string& host, int port) {
 common::Result<TcpSocket> TcpListener::Accept() {
   // Snapshot the fd: Close() from another thread is the documented way to
   // stop an accept loop.
-  const int fd = fd_;
+  const int fd = fd_.load();
   if (fd < 0) return common::Status::Unavailable("listener closed");
   const int conn = ::accept(fd, nullptr, nullptr);
   if (conn < 0) {
-    if (fd_ < 0) return common::Status::Unavailable("listener closed");
+    if (fd_.load() < 0) return common::Status::Unavailable("listener closed");
     return Unavailable("accept");
   }
   int one = 1;
@@ -222,9 +222,8 @@ common::Result<TcpSocket> TcpListener::Accept() {
 }
 
 void TcpListener::Close() {
-  if (fd_ >= 0) {
-    const int fd = fd_;
-    fd_ = -1;
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
     // shutdown() first so a blocked accept() returns even on Linux where
     // close() alone does not reliably wake it.
     ::shutdown(fd, SHUT_RDWR);

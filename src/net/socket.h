@@ -1,6 +1,7 @@
 #ifndef ZEUS_NET_SOCKET_H_
 #define ZEUS_NET_SOCKET_H_
 
+#include <atomic>
 #include <string>
 
 #include "common/status.h"
@@ -67,11 +68,12 @@ class TcpListener {
   common::Result<TcpSocket> Accept();
 
   int port() const { return port_; }
-  bool valid() const { return fd_ >= 0; }
   void Close();
 
  private:
-  int fd_ = -1;
+  // Atomic: Close() on the stopping thread swaps it out while Accept()
+  // reads it on the accept thread.
+  std::atomic<int> fd_{-1};
   int port_ = 0;
 };
 
