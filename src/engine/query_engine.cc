@@ -418,6 +418,8 @@ common::Result<AppendOutcome> QueryEngine::GrowLocked(const std::string& name,
   // Copy-on-write: grow a clone, then swap it in. Queries already running
   // hold the old snapshot via ShareDataset and never observe a torn
   // mid-append state; runs claimed after the swap see the grown dataset.
+  // The clone shares the snapshot's frame blocks (video/video.h), so only
+  // the growing videos' last blocks are copied.
   auto grown = std::make_shared<video::SyntheticDataset>(*old);
   common::Status grow = grown->GrowTo(target_frames, epoch);
   if (!grow.ok()) return grow;

@@ -346,7 +346,9 @@ class QueryEngine {
   // bytes and the same epoch — the call is idempotent (a replay that adds
   // nothing reports appended == 0). Copy-on-write: queries already running
   // keep their pre-append snapshot; runs claimed after the swap see the
-  // grown dataset. Subscriptions on the dataset are re-armed.
+  // grown dataset. The clone shares every frame block with the snapshot,
+  // so it costs pointer copies and the append renders only the frames it
+  // adds. Subscriptions on the dataset are re-armed.
   // kFailedPrecondition when the dataset has no recorded stream seed.
   common::Result<AppendOutcome> GrowDataset(const std::string& name,
                                             long target_frames,
@@ -458,8 +460,9 @@ class QueryEngine {
   mutable std::mutex datasets_mu_;
   std::map<std::string, std::shared_ptr<video::SyntheticDataset>> datasets_;
 
-  // Serializes appends (the copy-on-write growth is expensive and must not
-  // race itself); never held while queries run. Lock order:
+  // Serializes appends (two clone-and-grows would fork the stream and one
+  // fork's frames would be lost in the swap); never held while queries
+  // run. Lock order:
   // append_mu_ -> datasets_mu_, append_mu_ -> subs_mu_ -> (per-sub mu).
   std::mutex append_mu_;
 

@@ -78,6 +78,20 @@ std::vector<std::pair<int32_t, int32_t>> EncodeLabels(
   return runs;
 }
 
+// Calls fn(pixels, count) on each run of contiguous pixels — one frame
+// block's worth — in frame order, and stops at the first run it rejects.
+// The runs together are exactly the video's pixels, so a file's pixel
+// section is the same bytes however the frames are stored in memory.
+template <typename V, typename Fn>
+bool ForEachPixelRun(V& video, Fn fn) {
+  const size_t frame_px = static_cast<size_t>(video.height()) * video.width();
+  for (int f = 0; f < video.num_frames(); f += video.ContiguousFrames(f)) {
+    const size_t frames = static_cast<size_t>(video.ContiguousFrames(f));
+    if (!fn(video.FrameData(f), frames * frame_px)) return false;
+  }
+  return true;
+}
+
 constexpr int kMaxDim = 1 << 20;  // sanity bound on frames/height/width
 
 }  // namespace
@@ -104,30 +118,39 @@ common::Status VideoFile::Write(std::ostream& os, const video::Video& video,
     w.WritePod<int32_t>(cls);
   }
 
-  const size_t n = static_cast<size_t>(video.num_frames()) * video.height() *
-                   video.width();
-  const float* pixels = n > 0 ? video.FrameData(0) : nullptr;
   switch (encoding) {
     case PixelEncoding::kFloat32:
-      if (n > 0) w.Write(pixels, n * sizeof(float));
+      ForEachPixelRun(video, [&](const float* px, size_t len) {
+        w.Write(px, len * sizeof(float));
+        return true;
+      });
       break;
     case PixelEncoding::kUint8: {
       float lo = 0.0f, hi = 1.0f;
-      if (n > 0) {
-        const auto [mn, mx] = std::minmax_element(pixels, pixels + n);
-        lo = *mn;
-        hi = *mx;
+      if (video.num_frames() > 0) {
+        lo = std::numeric_limits<float>::infinity();
+        hi = -lo;
+        ForEachPixelRun(video, [&](const float* px, size_t len) {
+          const auto [mn, mx] = std::minmax_element(px, px + len);
+          lo = std::min(lo, *mn);
+          hi = std::max(hi, *mx);
+          return true;
+        });
       }
       if (hi <= lo) hi = lo + 1.0f;  // constant frame: any scale works
       w.WritePod<float>(lo);
       w.WritePod<float>(hi);
       const float scale = 255.0f / (hi - lo);
-      std::vector<uint8_t> quantized(n);
-      for (size_t i = 0; i < n; ++i) {
-        float q = (pixels[i] - lo) * scale + 0.5f;
-        quantized[i] = static_cast<uint8_t>(std::clamp(q, 0.0f, 255.0f));
-      }
-      if (n > 0) w.Write(quantized.data(), n);
+      std::vector<uint8_t> quantized;
+      ForEachPixelRun(video, [&](const float* px, size_t len) {
+        quantized.resize(len);
+        for (size_t i = 0; i < len; ++i) {
+          float q = (px[i] - lo) * scale + 0.5f;
+          quantized[i] = static_cast<uint8_t>(std::clamp(q, 0.0f, 255.0f));
+        }
+        w.Write(quantized.data(), len);
+        return true;
+      });
       break;
     }
     default:
@@ -187,12 +210,11 @@ common::Result<video::Video> VideoFile::Read(std::istream& is) {
     return common::Status::IoError("label runs do not cover all frames");
   }
 
-  const size_t n =
-      static_cast<size_t>(frames) * height * width;
-  float* pixels = n > 0 ? video.FrameData(0) : nullptr;
   switch (static_cast<PixelEncoding>(encoding_byte)) {
     case PixelEncoding::kFloat32:
-      if (n > 0 && !r.Read(pixels, n * sizeof(float))) {
+      if (!ForEachPixelRun(video, [&](float* px, size_t len) {
+            return r.Read(px, len * sizeof(float));
+          })) {
         return common::Status::IoError("truncated float32 pixels");
       }
       break;
@@ -201,13 +223,17 @@ common::Result<video::Video> VideoFile::Read(std::istream& is) {
       if (!r.ReadPod(&lo) || !r.ReadPod(&hi)) {
         return common::Status::IoError("truncated quantization range");
       }
-      std::vector<uint8_t> quantized(n);
-      if (n > 0 && !r.Read(quantized.data(), n)) {
-        return common::Status::IoError("truncated uint8 pixels");
-      }
       const float scale = (hi - lo) / 255.0f;
-      for (size_t i = 0; i < n; ++i) {
-        pixels[i] = lo + static_cast<float>(quantized[i]) * scale;
+      std::vector<uint8_t> quantized;
+      if (!ForEachPixelRun(video, [&](float* px, size_t len) {
+            quantized.resize(len);
+            if (!r.Read(quantized.data(), len)) return false;
+            for (size_t i = 0; i < len; ++i) {
+              px[i] = lo + static_cast<float>(quantized[i]) * scale;
+            }
+            return true;
+          })) {
+        return common::Status::IoError("truncated uint8 pixels");
       }
       break;
     }

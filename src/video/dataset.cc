@@ -1,6 +1,7 @@
 #include "video/dataset.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/stats.h"
@@ -221,8 +222,9 @@ Video RenderStreamBlock(const DatasetProfile& p, uint64_t stream_seed,
 
 namespace {
 // Globally unique video ids so feature caches shared across datasets (e.g.
-// the domain-adaptation experiments) never collide on cache keys.
-int g_next_video_id = 0;
+// the domain-adaptation experiments) never collide on cache keys. Atomic
+// because shard servers generate datasets on their connection threads.
+std::atomic<int> g_next_video_id{0};
 }  // namespace
 
 SyntheticDataset SyntheticDataset::Generate(const DatasetProfile& profile,
@@ -237,7 +239,7 @@ SyntheticDataset SyntheticDataset::Generate(const DatasetProfile& profile,
     common::Rng video_rng = rng.Fork();
     auto events = ScriptVideo(profile, profile.frames_per_video, &video_rng);
     Video v = renderer.Render(profile.frames_per_video, events, &video_rng);
-    v.set_id(g_next_video_id++);
+    v.set_id(g_next_video_id.fetch_add(1));
     ds.videos_.push_back(std::move(v));
   }
   // Deterministic split: shuffle indices with a fixed fork of the seed.
@@ -279,7 +281,7 @@ common::Status SyntheticDataset::GrowTo(long target_frames, uint64_t epoch) {
       const int want = static_cast<int>(
           std::min<long>(kStreamBlockFrames - from,
                          target_frames - v.num_frames()));
-      v.Append(rendered.Slice(from, want));
+      v.Append(rendered, from, want);
     }
   }
   return common::Status::Ok();

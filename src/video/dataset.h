@@ -106,6 +106,11 @@ class SyntheticDataset {
   // subscriber contract possible. Train/val videos never grow: the
   // trained plan's profiling splits stay frozen, so plan reuse across
   // windows stays valid.
+  //
+  // Copying a dataset shares every video's frame blocks (see Video), so a
+  // copy-on-write clone copies pointers, not pixels, and GrowTo on the
+  // clone renders only the frames it adds: it refills at most the partly
+  // filled last block of each growing video and adds new ones.
 
   static constexpr int kStreamBlockFrames = 64;
 

@@ -1,6 +1,7 @@
 #include "video/video.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/stringutil.h"
 
@@ -46,23 +47,87 @@ ActionClass ParseActionClass(const std::string& name) {
   return ActionClass::kNone;
 }
 
-void Video::Append(const Video& tail) {
-  ZEUS_CHECK(tail.height_ == height_ && tail.width_ == width_);
-  data_.insert(data_.end(), tail.data_.begin(), tail.data_.end());
-  labels_.insert(labels_.end(), tail.labels_.begin(), tail.labels_.end());
-  num_frames_ += tail.num_frames_;
+Video::Video(int num_frames, int height, int width)
+    : num_frames_(num_frames), height_(height), width_(width) {
+  ZEUS_CHECK(num_frames >= 0);
+  for (int f = 0; f < num_frames; f += kBlockFrames) {
+    const int n = std::min(kBlockFrames, num_frames - f);
+    auto block = std::make_shared<Block>();
+    block->pixels.assign(static_cast<size_t>(n) * frame_pixels(), 0.0f);
+    block->labels.assign(static_cast<size_t>(n), ActionClass::kNone);
+    blocks_.push_back(std::move(block));
+  }
+}
+
+namespace {
+
+// True when `block` has no holder but the caller, who may then write to it.
+// The acquire fence pairs with the release decrement of the last other
+// holder, so the caller's writes come after every read made through that
+// holder, possibly on another thread.
+template <typename Block>
+bool SoleHolder(const std::shared_ptr<const Block>& block) {
+  if (block.use_count() != 1) return false;
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return true;
+}
+
+}  // namespace
+
+Video::Block& Video::MutableBlock(int b) {
+  std::shared_ptr<const Block>& block = blocks_[static_cast<size_t>(b)];
+  if (!SoleHolder(block)) block = std::make_shared<Block>(*block);
+  return const_cast<Block&>(*block);
+}
+
+void Video::Append(const Video& src, int start, int count) {
+  ZEUS_CHECK(src.height_ == height_ && src.width_ == width_);
+  ZEUS_CHECK(start >= 0 && count >= 0 && start + count <= src.num_frames_);
+  const size_t px = frame_pixels();
+  const size_t full = static_cast<size_t>(kBlockFrames) * px;
+  while (count > 0) {
+    const int held = num_frames_ % kBlockFrames;
+    if (held == 0) blocks_.push_back(nullptr);
+    std::shared_ptr<const Block>& last = blocks_.back();
+    if (last == nullptr || !SoleHolder(last) ||
+        last->pixels.capacity() < full) {
+      // A block with room for kBlockFrames frames, so later appends fill
+      // it without moving the frames it already holds.
+      auto block = std::make_shared<Block>();
+      block->pixels.reserve(full);
+      block->labels.reserve(kBlockFrames);
+      if (last != nullptr) {
+        block->pixels.insert(block->pixels.end(), last->pixels.begin(),
+                             last->pixels.end());
+        block->labels.insert(block->labels.end(), last->labels.begin(),
+                             last->labels.end());
+      }
+      last = std::move(block);
+    }
+    Block& tail = const_cast<Block&>(*last);
+    const int n =
+        std::min({count, kBlockFrames - held, src.ContiguousFrames(start)});
+    const float* p = src.FrameData(start);
+    tail.pixels.insert(tail.pixels.end(), p, p + static_cast<size_t>(n) * px);
+    for (int i = 0; i < n; ++i) tail.labels.push_back(src.Label(start + i));
+    num_frames_ += n;
+    start += n;
+    count -= n;
+  }
 }
 
 Video Video::Slice(int start, int count) const {
-  ZEUS_CHECK(start >= 0 && count >= 0 && start + count <= num_frames_);
-  Video out(count, height_, width_);
-  const size_t frame_px = static_cast<size_t>(height_) * width_;
-  std::copy(data_.begin() + static_cast<long>(start) * static_cast<long>(frame_px),
-            data_.begin() +
-                static_cast<long>(start + count) * static_cast<long>(frame_px),
-            out.data_.begin());
-  std::copy(labels_.begin() + start, labels_.begin() + start + count,
-            out.labels_.begin());
+  Video out(0, height_, width_);
+  out.Append(*this, start, count);
+  return out;
+}
+
+std::vector<ActionClass> Video::labels() const {
+  std::vector<ActionClass> out;
+  out.reserve(static_cast<size_t>(num_frames_));
+  for (const auto& block : blocks_) {
+    out.insert(out.end(), block->labels.begin(), block->labels.end());
+  }
   return out;
 }
 
@@ -73,8 +138,10 @@ bool Video::IsActionAny(int f, const std::vector<ActionClass>& classes) const {
 
 int Video::CountActionFrames(ActionClass cls) const {
   int n = 0;
-  for (ActionClass l : labels_)
-    if (l == cls) ++n;
+  for (const auto& block : blocks_) {
+    n += static_cast<int>(
+        std::count(block->labels.begin(), block->labels.end(), cls));
+  }
   return n;
 }
 

@@ -1,7 +1,9 @@
 #ifndef ZEUS_VIDEO_VIDEO_H_
 #define ZEUS_VIDEO_VIDEO_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,16 +39,23 @@ const char* ActionClassName(ActionClass cls);
 ActionClass ParseActionClass(const std::string& name);
 
 // A single-channel (luminance) video with per-frame ground-truth labels.
-// Frames are stored contiguously; pixel (f, y, x) lives at
-// data[(f * height + y) * width + x], values roughly in [0, 1].
+// Pixel (f, y, x) lives at FrameData(f)[y * width + x], values roughly in
+// [0, 1]. Frames are held in blocks of kBlockFrames, block b holding frames
+// [b * kBlockFrames, (b + 1) * kBlockFrames); only the last block may be
+// partly filled. A frame's pixels are contiguous, and so are the frames of
+// one block (ContiguousFrames), but frames in different blocks are not.
+// kBlockFrames equals SyntheticDataset::kStreamBlockFrames, so one stream
+// block's append touches at most two blocks.
+//
+// Blocks are shared between copies: copying a Video copies block pointers,
+// not pixels. Writes keep value semantics — the mutable FrameData and
+// SetLabel first give this video its own copy of the block they write to,
+// so writing to a copy never changes the original.
 class Video {
  public:
-  Video(int num_frames, int height, int width)
-      : num_frames_(num_frames),
-        height_(height),
-        width_(width),
-        data_(static_cast<size_t>(num_frames) * height * width, 0.0f),
-        labels_(static_cast<size_t>(num_frames), ActionClass::kNone) {}
+  static constexpr int kBlockFrames = 64;
+
+  Video(int num_frames, int height, int width);
 
   int num_frames() const { return num_frames_; }
   int height() const { return height_; }
@@ -54,21 +63,32 @@ class Video {
 
   float* FrameData(int f) {
     ZEUS_CHECK(f >= 0 && f < num_frames_);
-    return data_.data() + static_cast<size_t>(f) * height_ * width_;
+    return MutableBlock(f / kBlockFrames).pixels.data() +
+           static_cast<size_t>(f % kBlockFrames) * frame_pixels();
   }
   const float* FrameData(int f) const {
     ZEUS_CHECK(f >= 0 && f < num_frames_);
-    return data_.data() + static_cast<size_t>(f) * height_ * width_;
+    return blocks_[static_cast<size_t>(f / kBlockFrames)]->pixels.data() +
+           static_cast<size_t>(f % kBlockFrames) * frame_pixels();
+  }
+
+  // Number of frames from `f` on whose pixels follow FrameData(f)
+  // contiguously: the rest of f's block.
+  int ContiguousFrames(int f) const {
+    ZEUS_CHECK(f >= 0 && f < num_frames_);
+    return std::min(kBlockFrames - f % kBlockFrames, num_frames_ - f);
   }
 
   // Oracle label function L(n) from §2.1.
   ActionClass Label(int f) const {
     ZEUS_CHECK(f >= 0 && f < num_frames_);
-    return labels_[static_cast<size_t>(f)];
+    return blocks_[static_cast<size_t>(f / kBlockFrames)]
+        ->labels[static_cast<size_t>(f % kBlockFrames)];
   }
   void SetLabel(int f, ActionClass cls) {
     ZEUS_CHECK(f >= 0 && f < num_frames_);
-    labels_[static_cast<size_t>(f)] = cls;
+    Block& block = MutableBlock(f / kBlockFrames);
+    block.labels[static_cast<size_t>(f % kBlockFrames)] = cls;
   }
 
   // Binary label function f_X(n) from Eq. (1).
@@ -81,17 +101,22 @@ class Video {
   // Number of frames labeled with `cls`.
   int CountActionFrames(ActionClass cls) const;
 
-  const std::vector<ActionClass>& labels() const { return labels_; }
+  // Every frame's label, in frame order.
+  std::vector<ActionClass> labels() const;
 
-  // Stream append: extends this video with `tail`'s frames and labels.
-  // Shapes must match. Existing frame bytes are never rewritten (only the
-  // backing vector may reallocate), so a reader that snapshotted an
-  // earlier num_frames() and indexes below it always sees the same
-  // pixels — growth is strictly suffix-only.
-  void Append(const Video& tail);
+  // Stream append: extends this video with frames [start, start + count)
+  // of `src` (all of `tail`'s frames for the one-argument form). Shapes
+  // must match. Full blocks are never touched, so pointers into them stay
+  // valid. The partly filled last block is extended in place when this
+  // video alone holds it and it has room (a block Append started always
+  // has); otherwise it is replaced by an extended copy, and pointers into
+  // the old block stay valid while another video — a snapshot — holds it.
+  // So a reader that snapshotted an earlier num_frames() and indexes below
+  // it always sees the same pixels — growth is strictly suffix-only.
+  void Append(const Video& tail) { Append(tail, 0, tail.num_frames()); }
+  void Append(const Video& src, int start, int count);
 
-  // Copy of frames [start, start + count) as a standalone video (stream
-  // blocks are rendered whole and sliced to the appended range). The id
+  // Copy of frames [start, start + count) as a standalone video. The id
   // is not copied.
   Video Slice(int start, int count) const;
 
@@ -100,11 +125,23 @@ class Video {
   int id() const { return id_; }
 
  private:
+  // Up to kBlockFrames frames: labels.size() frames, their pixels back to
+  // back. Shared blocks are never written; every block is allocated
+  // non-const so that its sole holder may write to it (MutableBlock).
+  struct Block {
+    std::vector<float> pixels;
+    std::vector<ActionClass> labels;
+  };
+
+  size_t frame_pixels() const { return static_cast<size_t>(height_) * width_; }
+
+  // Block `b`, first copied if another video shares it.
+  Block& MutableBlock(int b);
+
   int num_frames_;
   int height_;
   int width_;
-  std::vector<float> data_;
-  std::vector<ActionClass> labels_;
+  std::vector<std::shared_ptr<const Block>> blocks_;
   int id_ = -1;
 };
 

@@ -3,6 +3,7 @@
 // and the Catalog.
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -429,6 +430,76 @@ TEST(VideoStoreAppendTest, TornAppendLeavesPriorSnapshotByteIdentical) {
   auto final_read = s.Get(1);
   ASSERT_TRUE(final_read.ok());
   EXPECT_TRUE(SameVideo(expect, final_read.value()));
+}
+
+// A 60-frame video grown by 8 frames nine times: 132 frames that cross the
+// 64-frame block edges at 64 and 128 and end in a partly filled block.
+video::Video GrownAcrossBlockEdges(std::vector<video::Video>* tails) {
+  video::Video v = MakeVideo(1, 60, 8);
+  for (int k = 0; k < 9; ++k) {
+    tails->push_back(MakeVideo(1, 8, 8, /*seed=*/40 + k));
+    v.Append(tails->back());
+  }
+  return v;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(VideoFileTest, GrownVideoAcrossBlockEdgesRoundTripsBitIdentical) {
+  std::vector<video::Video> tails;
+  const video::Video grown = GrownAcrossBlockEdges(&tails);
+  ASSERT_EQ(grown.num_frames(), 132);
+  // The same frames written whole into a freshly constructed video.
+  video::Video whole(grown.num_frames(), grown.height(), grown.width());
+  whole.set_id(grown.id());
+  const size_t frame_bytes = sizeof(float) * grown.height() * grown.width();
+  for (int f = 0; f < grown.num_frames(); ++f) {
+    std::memcpy(whole.FrameData(f), grown.FrameData(f), frame_bytes);
+    whole.SetLabel(f, grown.Label(f));
+  }
+  ASSERT_TRUE(SameVideo(grown, whole));
+
+  for (auto encoding :
+       {storage::PixelEncoding::kFloat32, storage::PixelEncoding::kUint8}) {
+    const std::string tag =
+        encoding == storage::PixelEncoding::kFloat32 ? "f32" : "u8";
+    const std::string grown_path = testing::TempDir() + "/vf_grown_" + tag;
+    const std::string whole_path = testing::TempDir() + "/vf_whole_" + tag;
+    ASSERT_TRUE(storage::VideoFile::Save(grown_path, grown, encoding).ok());
+    ASSERT_TRUE(storage::VideoFile::Save(whole_path, whole, encoding).ok());
+    EXPECT_EQ(FileBytes(grown_path), FileBytes(whole_path)) << tag;
+
+    auto loaded = storage::VideoFile::Load(grown_path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded.value().num_frames(), grown.num_frames());
+    EXPECT_EQ(loaded.value().labels(), grown.labels()) << tag;
+    if (encoding == storage::PixelEncoding::kFloat32) {
+      EXPECT_TRUE(SameVideo(grown, loaded.value()));
+    }
+  }
+}
+
+TEST(VideoStoreAppendTest, ReplayAcrossBlockEdgesIsBitIdentical) {
+  auto store = storage::VideoStore::Open(UniqueDir("blockedge"));
+  ASSERT_TRUE(store.ok());
+  auto& s = store.value();
+  std::vector<video::Video> tails;
+  const video::Video grown = GrownAcrossBlockEdges(&tails);
+  ASSERT_TRUE(
+      s.Put(MakeVideo(1, 60, 8), storage::PixelEncoding::kFloat32).ok());
+  for (const video::Video& tail : tails) {
+    ASSERT_TRUE(s.AppendFrames(1, tail).ok());
+  }
+  auto committed = s.CommittedFrames(1);
+  ASSERT_TRUE(committed.ok());
+  EXPECT_EQ(committed.value(), 132);
+  auto got = s.Get(1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(SameVideo(grown, got.value()));
 }
 
 TEST(VideoStoreAppendTest, GrownDatasetRoundTripsThroughSaveLoad) {

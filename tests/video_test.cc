@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "video/action.h"
@@ -289,6 +292,37 @@ TEST(DatasetTest, MergeClassesRelabels) {
   }
 }
 
+TEST(DatasetTest, ConcurrentGenerateGivesDistinctIds) {
+  // Shard servers generate datasets on their connection threads, and the
+  // FeatureCache keys on the video id: two videos must never share one.
+  auto profile = DatasetProfile::ForFamily(DatasetFamily::kBdd100kLike);
+  profile.num_videos = 3;
+  profile.frames_per_video = 8;
+  profile.native_resolution = 8;
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 8;
+  std::vector<std::vector<int>> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kCallsPerThread; ++k) {
+        auto ds = SyntheticDataset::Generate(
+            profile, static_cast<uint64_t>(100 * t + k));
+        for (const Video& v : ds.videos()) {
+          ids[static_cast<size_t>(t)].push_back(v.id());
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  std::set<int> distinct;
+  for (const auto& per_thread : ids) {
+    distinct.insert(per_thread.begin(), per_thread.end());
+  }
+  EXPECT_EQ(distinct.size(),
+            static_cast<size_t>(kThreads * kCallsPerThread) * 3u);
+}
+
 // Table 3 family sweep: every profile generates with its declared classes
 // and a plausible action density.
 class FamilySweep : public ::testing::TestWithParam<DatasetFamily> {};
@@ -442,6 +476,144 @@ TEST(StreamGrowthTest, FromPartsIsNotStreamableUntilRestored) {
   ASSERT_TRUE(ds.GrowTo(100, 1).ok());
   for (size_t i = 0; i < ds.num_videos(); ++i) {
     EXPECT_TRUE(SamePixels(ds.video(i), parts.video(i)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Block sharing: copies share frame blocks, writes keep value semantics.
+
+// A video's pixels and labels as plain values, independent of its blocks.
+struct FrameBytes {
+  std::vector<float> pixels;
+  std::vector<ActionClass> labels;
+  bool operator==(const FrameBytes& o) const {
+    return pixels == o.pixels && labels == o.labels;
+  }
+};
+
+FrameBytes BytesOf(const Video& v) {
+  FrameBytes out;
+  const size_t px = static_cast<size_t>(v.height()) * v.width();
+  for (int f = 0; f < v.num_frames(); ++f) {
+    out.pixels.insert(out.pixels.end(), v.FrameData(f), v.FrameData(f) + px);
+  }
+  out.labels = v.labels();
+  return out;
+}
+
+TEST(BlockSharingTest, GrowingACopyCopiesNothingBelowTheTailBlock) {
+  // 80 base frames: each test video ends in a 16-frame partial block.
+  auto ds = SyntheticDataset::Generate(SmallStreamProfile(), 5);
+  const long len = ds.stream_length();
+  SyntheticDataset copy = ds;
+  ASSERT_TRUE(copy.GrowTo(len + SyntheticDataset::kStreamBlockFrames, 2).ok());
+  std::set<int> test(ds.test_indices().begin(), ds.test_indices().end());
+  for (size_t i = 0; i < ds.num_videos(); ++i) {
+    const Video& was = ds.video(i);
+    const Video& now = copy.video(i);
+    // A growing video refills its partly filled last block; every other
+    // block, and every block of a video that does not grow, is shared.
+    const int shared = test.count(static_cast<int>(i)) != 0
+                           ? was.num_frames() / Video::kBlockFrames *
+                                 Video::kBlockFrames
+                           : was.num_frames();
+    for (int f = 0; f < shared; ++f) {
+      ASSERT_EQ(now.FrameData(f), was.FrameData(f))
+          << "video " << i << " frame " << f;
+    }
+    EXPECT_TRUE(SamePixels(was, now.Slice(0, was.num_frames())))
+        << "video " << i;
+  }
+}
+
+// Fills frame f of `v` with f * 9 + i (pixel i), frames [from, to).
+void FillFrames(Video* v, int from, int to) {
+  for (int f = from; f < to; ++f) {
+    for (int i = 0; i < 9; ++i) {
+      v->FrameData(f)[i] = static_cast<float>(f * 9 + i);
+    }
+  }
+}
+
+void ExpectFrames(const std::vector<const float*>& taken, int from, int to) {
+  for (int f = from; f < to; ++f) {
+    for (int i = 0; i < 9; ++i) {
+      ASSERT_EQ(taken[static_cast<size_t>(f)][i], static_cast<float>(f * 9 + i))
+          << "frame " << f;
+    }
+  }
+}
+
+TEST(BlockSharingTest, FramePointersSurviveAppend) {
+  Video v(100, 3, 3);  // one full block and a 36-frame partial one
+  FillFrames(&v, 0, 100);
+  const Video snapshot = v;  // a reader's snapshot, as the engine keeps
+  const Video& cv = v;
+  std::vector<const float*> taken;
+  for (int f = 0; f < v.num_frames(); ++f) taken.push_back(cv.FrameData(f));
+  Video tail(8, 3, 3);
+  for (int round = 0; round < 12; ++round) {
+    v.Append(tail);
+    FillFrames(&v, v.num_frames() - 8, v.num_frames());
+  }
+  ASSERT_EQ(v.num_frames(), 196);
+  ExpectFrames(taken, 0, 100);
+  for (int f = 0; f < Video::kBlockFrames; ++f) {
+    EXPECT_EQ(cv.FrameData(f), taken[static_cast<size_t>(f)]);
+  }
+  EXPECT_TRUE(SamePixels(snapshot, v.Slice(0, 100)));
+
+  // A last block that Append started is filled in place: pointers into it
+  // survive further appends with no snapshot holding it.
+  for (int f = 100; f < v.num_frames(); ++f) taken.push_back(cv.FrameData(f));
+  for (int round = 0; round < 8; ++round) {
+    v.Append(tail);
+    FillFrames(&v, v.num_frames() - 8, v.num_frames());
+  }
+  ASSERT_EQ(v.num_frames(), 260);
+  ExpectFrames(taken, 0, 196);
+  for (int f = 192; f < 196; ++f) {
+    EXPECT_EQ(cv.FrameData(f), taken[static_cast<size_t>(f)]);
+  }
+}
+
+TEST(BlockSharingTest, WritesToACopyLeaveTheOriginalUnchanged) {
+  auto profile = SmallStreamProfile();
+  profile.family = DatasetFamily::kThumos14Like;
+  profile.classes = {ActionClass::kPoleVault, ActionClass::kCleanAndJerk};
+  profile.action_fraction = 0.4;
+  auto ds = SyntheticDataset::Generate(profile, 6);
+  ASSERT_TRUE(ds.GrowTo(150, 1).ok());
+  std::vector<FrameBytes> before;
+  for (const Video& v : ds.videos()) before.push_back(BytesOf(v));
+
+  const Video& original = ds.video(static_cast<size_t>(ds.test_indices()[0]));
+  ASSERT_EQ(original.num_frames(), 150);  // three blocks
+  Video copy = original;
+  copy.FrameData(3)[0] = 7.0f;
+  copy.SetLabel(70, ActionClass::kPoleVault);
+  EXPECT_EQ(copy.FrameData(3)[0], 7.0f);
+  EXPECT_EQ(copy.Label(70), ActionClass::kPoleVault);
+  // Only the two blocks written to were copied.
+  const Video& shared = copy;
+  EXPECT_NE(shared.FrameData(3), original.FrameData(3));
+  EXPECT_NE(shared.FrameData(70), original.FrameData(70));
+  EXPECT_EQ(shared.FrameData(130), original.FrameData(130));
+
+  SyntheticDataset grown = ds;
+  ASSERT_TRUE(grown.GrowTo(300, 2).ok());
+  const SyntheticDataset merged = grown.MergeClasses(
+      {ActionClass::kPoleVault}, ActionClass::kCleanAndJerk);
+  long relabeled = 0;
+  for (size_t i = 0; i < merged.num_videos(); ++i) {
+    for (int f = 0; f < merged.video(i).num_frames(); ++f) {
+      if (merged.video(i).Label(f) != grown.video(i).Label(f)) ++relabeled;
+    }
+  }
+  EXPECT_GT(relabeled, 0);
+
+  for (size_t i = 0; i < ds.num_videos(); ++i) {
+    EXPECT_TRUE(BytesOf(ds.video(i)) == before[i]) << "video " << i;
   }
 }
 
