@@ -72,7 +72,7 @@ class Apfg {
                  const video::DecodeSpec& spec);
 
   // Processes an already-decoded segment batch {N,1,L,H,W}; returns one
-  // Output per row (used by tests and batch pre-extraction).
+  // Output per row (used by tests and zeusbench's per-layer timings).
   std::vector<Output> ProcessBatch(const tensor::Tensor& batch,
                                    const video::DecodeSpec& spec);
 

@@ -94,39 +94,6 @@ void FeatureCache::Precompute(const video::Video& video,
   }
 }
 
-void FeatureCache::PrecomputeParallel(
-    const std::vector<const video::Video*>& videos,
-    const video::DecodeSpec& spec, int alignment, common::ThreadPool* pool) {
-  // Enumerate the (video, start) work items not yet cached.
-  struct Item {
-    const video::Video* video;
-    int start;
-  };
-  std::vector<Item> items;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const video::Video* v : videos) {
-      for (int start = 0; start < v->num_frames(); start += alignment) {
-        if (cache_.find(MakeKey(*v, start, spec)) == cache_.end()) {
-          items.push_back({v, start});
-        }
-      }
-    }
-  }
-  std::vector<std::shared_ptr<const Apfg::Output>> outputs(items.size());
-  common::ParallelFor(pool, static_cast<int>(items.size()), [&](int i) {
-    const Item& it = items[static_cast<size_t>(i)];
-    outputs[static_cast<size_t>(i)] = std::make_shared<Apfg::Output>(
-        apfg_->Process(*it.video, it.start, spec));
-  });
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < items.size(); ++i) {
-    ++misses_;
-    InsertLocked(MakeKey(*items[i].video, items[i].start, spec),
-                 std::move(outputs[i]));
-  }
-}
-
 size_t FeatureCache::InvalidateBefore(int frame) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t dropped = 0;

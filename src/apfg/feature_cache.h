@@ -6,10 +6,8 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "apfg/apfg.h"
-#include "common/thread_pool.h"
 
 namespace zeus::apfg {
 
@@ -52,7 +50,7 @@ class FeatureCache {
   // inference runs outside the lock; concurrent misses on one key compute
   // redundantly and the first insert wins. APFG inference is
   // deterministic, so results are identical to serial access — this is
-  // what lets BatchedExecutor step its environments in parallel.
+  // what lets concurrent queries sharing one plan share its cache.
   std::shared_ptr<const Apfg::Output> Get(const video::Video& video,
                                           int start_frame,
                                           const video::DecodeSpec& spec);
@@ -61,14 +59,6 @@ class FeatureCache {
   // all starts that are multiples of `alignment`. Bounded by `max_entries`.
   void Precompute(const video::Video& video, const video::DecodeSpec& spec,
                   int alignment, size_t max_entries = 1 << 20);
-
-  // Parallel batch pre-extraction (§5: the paper batches feature
-  // extraction across GPUs to cut RL training time; here across CPU
-  // threads). APFG inference is read-only, so workers share the model;
-  // results are inserted under a single-threaded merge.
-  void PrecomputeParallel(const std::vector<const video::Video*>& videos,
-                          const video::DecodeSpec& spec, int alignment,
-                          common::ThreadPool* pool);
 
   // Drops every entry whose segment lies entirely before source frame
   // `frame` (start + available <= frame), across all videos — the stream

@@ -35,11 +35,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   tls_in_worker = true;
   for (;;) {
@@ -50,29 +45,34 @@ void ThreadPool::WorkerLoop() {
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop();
-      ++active_;
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 
 void ParallelFor(ThreadPool* pool, int n, const std::function<void(int)>& fn) {
-  // Run inline when there is no pool to use — or when we *are* the pool:
-  // nested fan-out from a worker would block in Wait() forever.
-  if (pool == nullptr || pool->num_threads() <= 1 ||
+  // Run inline when there is no pool to use, nothing to split — or when we
+  // *are* the pool (see InWorkerThread).
+  if (n <= 1 || pool == nullptr || pool->num_threads() <= 1 ||
       ThreadPool::InWorkerThread()) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
+  // Completion count for this call's tasks only. The last task notifies
+  // while holding the lock, so the caller cannot return and destroy the
+  // count before the notify is done.
+  std::mutex mu;
+  std::condition_variable done;
+  int pending = n;
   for (int i = 0; i < n; ++i) {
-    pool->Submit([&fn, i] { fn(i); });
+    pool->Submit([&, i] {
+      fn(i);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--pending == 0) done.notify_one();
+    });
   }
-  pool->Wait();
+  std::unique_lock<std::mutex> lock(mu);
+  done.wait(lock, [&pending] { return pending == 0; });
 }
 
 }  // namespace zeus::common

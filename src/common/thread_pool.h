@@ -10,10 +10,9 @@
 
 namespace zeus::common {
 
-// Minimal fixed-size thread pool. Used by the APFG's batch pre-extraction
-// (§5: the paper parallelizes feature extraction over multiple GPUs; here,
-// over CPU threads). Tasks are plain std::function<void()>; Wait() blocks
-// until every submitted task has finished.
+// Minimal fixed-size thread pool for intra-op parallelism: the GEMM row/col
+// partitions and the Conv2d/Conv3d minibatch splits, all through
+// ParallelFor. Tasks are plain std::function<void()>.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -25,15 +24,12 @@ class ThreadPool {
   // Enqueues one task.
   void Submit(std::function<void()> task);
 
-  // Blocks until the queue is empty and all workers are idle.
-  void Wait();
-
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   // True when the calling thread is a worker of *any* ThreadPool in the
   // process. ParallelFor uses this to run nested parallel sections inline:
-  // a worker that submitted tasks and then blocked in Wait() could never
-  // drain its own `active_` count, so nested fan-out would deadlock.
+  // a worker that fanned out and then blocked on its own tasks would hold a
+  // worker slot those tasks may need, so nested fan-out could deadlock.
   static bool InWorkerThread();
 
  private:
@@ -42,14 +38,14 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
   std::mutex mu_;
-  std::condition_variable cv_task_;   // signals workers
-  std::condition_variable cv_idle_;   // signals Wait()
-  int active_ = 0;
+  std::condition_variable cv_task_;  // signals workers
   bool stop_ = false;
 };
 
-// Runs fn(i) for i in [0, n) across the pool (or inline when pool is null
-// or single-threaded).
+// Runs fn(i) for i in [0, n) across the pool and returns once those n calls
+// have finished; tasks other callers have on the pool are not waited for.
+// Runs inline when the pool is null or single-threaded, when n <= 1, or on a
+// pool worker.
 void ParallelFor(ThreadPool* pool, int n, const std::function<void(int)>& fn);
 
 }  // namespace zeus::common

@@ -2,13 +2,10 @@
 
 #include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "rl/env.h"
-#include "tensor/gemm.h"
 
 namespace zeus::core {
 
@@ -88,25 +85,13 @@ RunResult BatchedExecutor::Localize(
         break;
       }
     }
-    // The environments are independent single-video traversals sharing only
-    // the thread-safe feature cache, so the whole round — every (env,
-    // config) pair across all groups, not per group, which would serialize
-    // rounds of many small groups — steps in one parallel fan-out. Each env
-    // mutates only its own state, so the result is byte-identical to
-    // sequential stepping. Cost accounting stays sequential (and step-order
-    // independent): it only needs the group sizes.
-    common::ThreadPool* pool = opts_.step_pool != nullptr
-                                   ? opts_.step_pool
-                                   : tensor::GlobalComputeContext().pool;
-    std::vector<std::pair<rl::VideoEnv*, int>> round;
+    // Each environment steps on this thread: a step on a feature-cache hit
+    // is well under a microsecond, and concurrent queries already run on
+    // their own engine workers.
     for (auto& [config_id, members] : groups) {
       charge_group(config_id, static_cast<int>(members.size()));
-      for (rl::VideoEnv* env : members) round.emplace_back(env, config_id);
+      for (rl::VideoEnv* env : members) env->Step(config_id);
     }
-    common::ParallelFor(pool, static_cast<int>(round.size()), [&round](int i) {
-      round[static_cast<size_t>(i)].first->Step(
-          round[static_cast<size_t>(i)].second);
-    });
   }
 
   // Collect masks and per-config frame accounting from the environments.

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/executor.h"
 #include "core/localizer.h"
 #include "core/query_planner.h"
@@ -29,11 +28,6 @@ class BatchedExecutor : public Localizer {
   struct Options {
     // Maximum invocations fused into one launch (GPU memory bound).
     int max_batch = 16;
-    // Pool for stepping a round's same-configuration group members
-    // concurrently (the environments are independent and the feature cache
-    // is thread-safe, so results are identical to sequential stepping).
-    // nullptr falls back to tensor::GlobalComputeContext().pool.
-    common::ThreadPool* step_pool = nullptr;
   };
 
   BatchedExecutor(const QueryPlan* plan, const Options& opts)

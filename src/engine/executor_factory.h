@@ -4,7 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "common/thread_pool.h"
 #include "core/accuracy.h"
 #include "core/localizer.h"
 #include "core/query_planner.h"
@@ -64,10 +63,6 @@ struct ExecutionOptions {
   double max_latency_budget = 0.0;
   // BatchedExecutor: maximum invocations fused into one modeled launch.
   int max_batch = 16;
-  // BatchedExecutor lockstep stepping pool; nullptr falls back to
-  // tensor::GlobalComputeContext().pool (a hardware-concurrency pool by
-  // default).
-  common::ThreadPool* step_pool = nullptr;
   // Seed for the PP baselines' training RNG (their training is part of the
   // method under comparison, so it is owned by the factory-made localizer).
   uint64_t baseline_seed = 7;

@@ -26,9 +26,8 @@ namespace zeus::nn {
 // flag) — never on runtime load — and every task computes its images
 // independently, so layer outputs are bit-identical for any pool size.
 //
-// Callers MUST run the loop inline when this returns 1 (not via a
-// single-task ParallelFor, which would move the loop onto a worker thread
-// and serialize the inner GEMMs too).
+// A result of 1 keeps the loop on the calling thread (ParallelFor runs a
+// single task inline), so the inner GEMMs can still use the pool.
 inline int BatchSplitTasks(const tensor::ComputeContext& ctx, int n,
                            size_t per_image_macs) {
   if (!ctx.batch_split || ctx.pool == nullptr || n <= 1) return 1;

@@ -109,13 +109,9 @@ tensor::Tensor Conv2d::ForwardGemm(const tensor::Tensor& input, bool train) {
   const size_t per_image_macs =
       static_cast<size_t>(out_channels_) * spatial * kdim;
   const int tasks = BatchSplitTasks(ctx, n, per_image_macs);
-  if (tasks == 1) {
-    run_range(0, n);
-  } else {
-    common::ParallelFor(ctx.pool, tasks, [&](int t) {
-      run_range(BatchSplitBegin(n, tasks, t), BatchSplitEnd(n, tasks, t));
-    });
-  }
+  common::ParallelFor(ctx.pool, tasks, [&](int t) {
+    run_range(BatchSplitBegin(n, tasks, t), BatchSplitEnd(n, tasks, t));
+  });
   return out;
 }
 
@@ -187,13 +183,9 @@ tensor::Tensor Conv2d::BackwardGemm(const tensor::Tensor& grad_output) {
   const size_t per_image_macs =
       2 * static_cast<size_t>(out_channels_) * spatial * kdim;
   const int tasks = BatchSplitTasks(ctx, n, per_image_macs);
-  if (tasks == 1) {
-    run_range(0, n);
-  } else {
-    common::ParallelFor(ctx.pool, tasks, [&](int t) {
-      run_range(BatchSplitBegin(n, tasks, t), BatchSplitEnd(n, tasks, t));
-    });
-  }
+  common::ParallelFor(ctx.pool, tasks, [&](int t) {
+    run_range(BatchSplitBegin(n, tasks, t), BatchSplitEnd(n, tasks, t));
+  });
 
   float* dw = weight_.grad.data();
   float* db = bias_.grad.data();

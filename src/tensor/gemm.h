@@ -90,14 +90,13 @@ struct GemmBlocking {
   int nc = 512;
 };
 
-// Process-wide compute configuration, threaded through nn::Layer, the APFG
-// extractors and core::BatchedExecutor. Callers configure the global
-// instance once (thread count, path) and every model picks it up; individual
-// layers/models can be pointed at a non-global context for A/B testing.
+// Process-wide compute configuration, threaded through nn::Layer and the
+// APFG extractors. Callers configure the global instance once (thread
+// count, path) and every model picks it up; individual layers/models can be
+// pointed at a non-global context for A/B testing.
 struct ComputeContext {
-  // Pool used for intra-op (GEMM row/col partition), inter-op
-  // (BatchedExecutor lockstep stepping) and batch-level (Conv2d/Conv3d
-  // minibatch split) parallelism. nullptr => serial.
+  // Pool used for intra-op parallelism only: the GEMM row/col partition and
+  // the Conv2d/Conv3d minibatch split. nullptr => serial.
   common::ThreadPool* pool = nullptr;
   ComputePath path = ComputePath::kGemm;
   // fp32 micro-kernel tier; kAuto picks the best supported at runtime.
@@ -119,8 +118,8 @@ common::ThreadPool* DefaultComputePool();
 // The mutable process-wide default context. Not synchronized: configure it
 // before launching compute, not concurrently with it. On first access the
 // context's pool defaults to DefaultComputePool(), so every caller that
-// does not override it (benches, trainer hot loops, BatchedExecutor
-// lockstep stepping) is thread-parallel out of the box; set
+// does not override it (benches, trainer hot loops, serving inference) is
+// thread-parallel out of the box; set
 // `GlobalComputeContext().pool = nullptr` to force serial execution for
 // parity tests. First access also applies ZEUS_COMPUTE_PATH (see
 // ParseComputePath) so the whole process can be forced onto one

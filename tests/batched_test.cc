@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "core/batched_executor.h"
 #include "core/executor.h"
 #include "core/query_planner.h"
@@ -68,29 +67,6 @@ TEST_F(BatchedExecutorTest, MasksIdenticalToSequentialExecutor) {
   EXPECT_EQ(run.total_frames, base.total_frames);
   EXPECT_EQ(run.invocations, base.invocations);
   EXPECT_EQ(run.frames_per_config, base.frames_per_config);
-}
-
-// Stepping a round's same-configuration group over a thread pool must not
-// change anything observable: the environments are independent, the feature
-// cache is thread-safe, and APFG inference is deterministic (bit-identical
-// across thread counts), so every mask, count and cost matches byte for
-// byte.
-TEST_F(BatchedExecutorTest, ParallelSteppingByteIdenticalToSequential) {
-  core::BatchedExecutor sequential(plan_);
-  auto base = sequential.Localize(test_);
-  common::ThreadPool pool(4);
-  core::BatchedExecutor::Options opts;
-  opts.step_pool = &pool;
-  core::BatchedExecutor parallel(plan_, opts);
-  auto run = parallel.Localize(test_);
-  ASSERT_EQ(run.masks.size(), base.masks.size());
-  for (size_t i = 0; i < run.masks.size(); ++i) {
-    EXPECT_EQ(run.masks[i], base.masks[i]) << "video " << i;
-  }
-  EXPECT_EQ(run.total_frames, base.total_frames);
-  EXPECT_EQ(run.invocations, base.invocations);
-  EXPECT_EQ(run.frames_per_config, base.frames_per_config);
-  EXPECT_EQ(run.gpu_seconds, base.gpu_seconds);
 }
 
 TEST_F(BatchedExecutorTest, WidthOneMatchesSequentialCost) {

@@ -502,15 +502,17 @@ TEST(BatchSplitTest, PolicyGuards) {
 }
 
 // From inside a pool worker the policy must refuse to split (the nested
-// ParallelFor would run inline and serialize everything anyway).
+// ParallelFor would run inline and serialize everything anyway). Two tasks,
+// because ParallelFor runs a single task inline on the caller.
 TEST(BatchSplitTest, NeverSplitsFromWorkerThread) {
   common::ThreadPool pool(4);
   tensor::ComputeContext ctx = GemmCtx(&pool);
-  int tasks_inside = -1;
-  common::ParallelFor(&pool, 1, [&](int) {
-    tasks_inside = nn::BatchSplitTasks(ctx, 8, size_t{1} << 20);
+  int tasks_inside[2] = {-1, -1};
+  common::ParallelFor(&pool, 2, [&](int i) {
+    tasks_inside[i] = nn::BatchSplitTasks(ctx, 8, size_t{1} << 20);
   });
-  EXPECT_EQ(tasks_inside, 1);
+  EXPECT_EQ(tasks_inside[0], 1);
+  EXPECT_EQ(tasks_inside[1], 1);
 }
 
 // Nested-ParallelFor regression: a batched conv whose outer split dispatches

@@ -1,13 +1,15 @@
-// Tests for plan checkpointing (PlanIo) and the parallel feature
-// pre-extraction path.
+// Tests for plan checkpointing (PlanIo) and the compute pool's ParallelFor.
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
-#include "apfg/feature_cache.h"
 #include "common/crc32.h"
 #include "common/fileutil.h"
 #include "common/stringutil.h"
@@ -16,7 +18,6 @@
 #include "core/plan_io.h"
 #include "core/query_planner.h"
 #include "engine/plan_cache.h"
-#include "tensor/tensor_ops.h"
 #include "video/dataset.h"
 
 namespace zeus {
@@ -41,16 +42,6 @@ core::QueryPlanner::Options FastPlannerOptions() {
   return opts;
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  common::ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   common::ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(50);
@@ -64,23 +55,38 @@ TEST(ThreadPoolTest, ParallelForInlineWithoutPool) {
   EXPECT_EQ(sum, 45);
 }
 
-TEST(FeatureCachePrecomputeTest, ParallelMatchesSerial) {
-  common::Rng rng(3);
-  apfg::Apfg apfg(apfg::ApfgTrainOptions{}, true, &rng);
-  auto ds = video::SyntheticDataset::Generate(SmallProfile(), 71);
-  std::vector<const video::Video*> vids;
-  for (size_t i = 0; i < 3; ++i) vids.push_back(&ds.video(i));
-  video::DecodeSpec spec{15, 4, 2};
-
-  apfg::FeatureCache serial(&apfg), parallel(&apfg);
-  for (const video::Video* v : vids) serial.Precompute(*v, spec, 16);
+// A ParallelFor returns once its own tasks finish, even while another
+// caller's task still occupies the pool: concurrent queries' GEMMs must not
+// wait on each other. The blocked task is released after the timed wait
+// either way, so a pool that waits for whole-pool idleness fails here
+// instead of hanging.
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnTasks) {
   common::ThreadPool pool(2);
-  parallel.PrecomputeParallel(vids, spec, 16, &pool);
-  EXPECT_EQ(serial.size(), parallel.size());
-  // Spot-check one entry for identical outputs.
-  const auto a = serial.Get(*vids[0], 16, spec);
-  const auto b = parallel.Get(*vids[0], 16, spec);
-  EXPECT_LT(tensor::MaxAbsDiff(a->feature, b->feature), 1e-6f);
+  std::promise<void> started;
+  std::future<void> a_started = started.get_future();
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::thread caller_a([&] {
+    common::ParallelFor(&pool, 2, [&](int i) {
+      if (i == 0) {
+        started.set_value();
+        gate.wait();
+      }
+    });
+  });
+  a_started.wait();
+
+  std::atomic<int> ran{0};
+  auto caller_b = std::async(std::launch::async, [&] {
+    common::ParallelFor(&pool, 2, [&](int) { ran.fetch_add(1); });
+  });
+  const bool returned = caller_b.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  release.set_value();
+  caller_a.join();
+  caller_b.get();
+  EXPECT_TRUE(returned) << "ParallelFor waited for another caller's task";
+  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(PlanIoTest, SaveLoadRoundTripExecutesIdentically) {
